@@ -108,9 +108,9 @@ func benchCopyCurves(b *testing.B, mk func() machine.Machine) {
 		sl := bench.CopyCurve(p, 0, 8*units.MB, benchStrides, true)
 		ss := bench.CopyCurve(p, 0, 8*units.MB, benchStrides, false)
 		if i == b.N-1 {
-			b.ReportMetric(sl.At(1).MBps(), "contig-MB/s")
-			b.ReportMetric(sl.At(16).MBps(), "strided-loads-MB/s")
-			b.ReportMetric(ss.At(16).MBps(), "strided-stores-MB/s")
+			b.ReportMetric(sl.At(8*units.MB, 1).MBps(), "contig-MB/s")
+			b.ReportMetric(sl.At(8*units.MB, 16).MBps(), "strided-loads-MB/s")
+			b.ReportMetric(ss.At(8*units.MB, 16).MBps(), "strided-stores-MB/s")
 		}
 	}
 }
@@ -140,8 +140,8 @@ func benchRemoteCopy(b *testing.B, mk func() machine.Machine, mode machine.Mode)
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(c.At(1).MBps(), "contig-MB/s")
-			b.ReportMetric(c.At(16).MBps(), "strided-MB/s")
+			b.ReportMetric(c.At(8*units.MB, 1).MBps(), "contig-MB/s")
+			b.ReportMetric(c.At(8*units.MB, 16).MBps(), "strided-MB/s")
 		}
 	}
 }

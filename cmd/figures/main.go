@@ -198,7 +198,7 @@ func printFigure(ms map[string]machine.Machine, ps map[string]*sweep.Pool, fig i
 	emitSurface := func(s *surface.Surface) {
 		fmt.Print(s.ASCII())
 	}
-	emitCurves := func(cs ...*surface.Curve) {
+	emitCurves := func(cs ...*surface.Surface) {
 		for _, c := range cs {
 			fmt.Println(c.Table())
 		}
@@ -277,7 +277,7 @@ func printFigure(ms map[string]machine.Machine, ps map[string]*sweep.Pool, fig i
 	return nil
 }
 
-func first2(a, b *surface.Curve) (x, y *surface.Curve) { return a, b }
+func first2(a, b *surface.Surface) (x, y *surface.Surface) { return a, b }
 
 func writeAll(ms map[string]machine.Machine, ps map[string]*sweep.Pool, dir string, maxWS units.Bytes, fast bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

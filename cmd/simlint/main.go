@@ -6,10 +6,6 @@
 //	simlint -determinism=false .  # disable one analyzer
 //	simlint -fix ./...            # apply suggested fixes in place
 //	simlint -fix -dry-run ./...   # fail if fixes would apply
-//	simlint -sarif out.sarif ./...          # SARIF 2.1.0 log
-//	simlint -baseline lint.baseline.json ./...  # fail on NEW findings only
-//	simlint -update-baseline -baseline lint.baseline.json ./...
-//	simlint -prune-baseline -baseline lint.baseline.json ./...  # drop stale entries
 //	simlint -ignores ./...        # audit every //simlint:ignore
 //
 // Each analyzer has an enable flag named after it (default true);
@@ -50,10 +46,6 @@ func run() int {
 	jobs := flag.Int("j", 0, "max concurrent package analyses (0 = GOMAXPROCS)")
 	useCache := flag.Bool("cache", true, "reuse cached per-package results when inputs are unchanged")
 	cacheDir := flag.String("cache-dir", ".simlintcache", "directory for the incremental cache")
-	sarifOut := flag.String("sarif", "", "also write findings to this file as SARIF 2.1.0")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in this baseline file")
-	updateBaseline := flag.Bool("update-baseline", false, "rewrite -baseline with the current findings and exit 0")
-	pruneBaseline := flag.Bool("prune-baseline", false, "rewrite -baseline without entries that no longer match any finding")
 	ignores := flag.Bool("ignores", false, "list every //simlint:ignore directive instead of analyzing")
 	verbose := flag.Bool("v", false, "report cache statistics on stderr")
 	enabled := map[string]*bool{}
@@ -156,59 +148,6 @@ func run() int {
 		}
 	}
 
-	if *updateBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "simlint: -update-baseline needs -baseline")
-			return 2
-		}
-		if err := lint.NewBaseline(diags).Write(*baselinePath); err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "simlint: baseline %s updated with %d finding(s)\n", *baselinePath, len(diags))
-		return 0
-	}
-	suppressed := 0
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			return 2
-		}
-		fresh, stale := base.Audit(diags)
-		suppressed = len(diags) - len(fresh)
-		diags = fresh
-		for _, s := range stale {
-			fmt.Fprintf(os.Stderr, "simlint: stale baseline entry: [%s] %s: %s\n",
-				s.Analyzer, s.File, s.Message)
-		}
-		if len(stale) > 0 {
-			if *pruneBaseline {
-				if err := base.Pruned(stale).Write(*baselinePath); err != nil {
-					fmt.Fprintln(os.Stderr, "simlint:", err)
-					return 2
-				}
-				fmt.Fprintf(os.Stderr, "simlint: pruned %d stale entr%s from %s\n",
-					len(stale), plural(len(stale), "y", "ies"), *baselinePath)
-			} else {
-				fmt.Fprintf(os.Stderr, "simlint: %d stale baseline entr%s; run with -prune-baseline to rewrite %s\n",
-					len(stale), plural(len(stale), "y", "ies"), *baselinePath)
-			}
-		}
-	}
-
-	if *sarifOut != "" {
-		data, err := lint.SARIF(diags, analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			return 2
-		}
-		if err := os.WriteFile(*sarifOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			return 2
-		}
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -226,26 +165,11 @@ func run() int {
 	}
 	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "simlint: %d finding(s) in %d package(s)", len(diags), res.Stats.Packages)
-			if suppressed > 0 {
-				fmt.Fprintf(os.Stderr, " (%d baselined)", suppressed)
-			}
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintf(os.Stderr, "simlint: %d finding(s) in %d package(s)\n", len(diags), res.Stats.Packages)
 		}
 		return 1
 	}
-	if suppressed > 0 && !*jsonOut {
-		fmt.Fprintf(os.Stderr, "simlint: clean (%d baselined finding(s) remain)\n", suppressed)
-	}
 	return 0
-}
-
-// plural picks the suffix for a count.
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 // reportIgnores lists every //simlint:ignore directive with its

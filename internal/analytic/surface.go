@@ -42,3 +42,32 @@ func TransferSurface(cal machine.Calibration, mode machine.Mode, strides []int, 
 	}
 	return s, nil
 }
+
+// CopySurface computes the analytic local copy curve at working set
+// ws — the one-row grid bench.CopyCurve simulates, with its title.
+// The load and store phases do not overlap, so they compose serially
+// (1/bw = 1/a + 1/b), both through the load model: a reference volume
+// moves through each phase and the total time is measured.
+// stridedLoads selects which side is strided.
+func CopySurface(cal machine.Calibration, ws units.Bytes, strides []int, stridedLoads bool) *surface.Surface {
+	m := New(cal)
+	title := "local copy, contiguous loads/strided stores"
+	if stridedLoads {
+		title = "local copy, strided loads/contiguous stores"
+	}
+	s := surface.New(cal.Machine, title, strides, []units.Bytes{ws})
+	s.CalHash = cal.Hash()
+	const n = units.MB
+	for si, st := range strides {
+		loads, stores := st, 1
+		if !stridedLoads {
+			loads, stores = 1, st
+		}
+		a, b := m.LoadBW(ws, loads), m.LoadBW(ws, stores)
+		if a > 0 && b > 0 {
+			s.Set(0, si, units.BW(n, units.TimeFor(n, a)+units.TimeFor(n, b)))
+		}
+		s.SetSource(0, si, surface.Analytic)
+	}
+	return s
+}

@@ -88,8 +88,9 @@ func TestTransferSurfaceDepositUnsupportedOn8400(t *testing.T) {
 func TestCopyCurveMonotoneEnough(t *testing.T) {
 	m := machine.NewT3D(1)
 	c := CopyCurve(sweep.Seq(m), 0, 4*units.MB, surface.CopyStrides, false)
-	if c.BW[0] <= c.BW[len(c.BW)-1] {
+	row := c.BW[0]
+	if row[0] <= row[len(row)-1] {
 		t.Errorf("contiguous copy (%v) should beat stride-64 copy (%v)",
-			c.BW[0], c.BW[len(c.BW)-1])
+			row[0], row[len(row)-1])
 	}
 }

@@ -16,32 +16,29 @@ import (
 // LoadSurfaceKey is the store key of LoadSurface's artifact: the
 // local load bandwidth grid swept on node idx.
 func LoadSurfaceKey(cal machine.Calibration, idx int, strides []int, wss []units.Bytes) store.Key {
-	return store.SurfaceKey(cal, store.PatternLoad, machine.Fetch, idx, 0, strides, wss)
+	return store.SurfaceKey(cal, store.PatternLoad, "", idx, 0, strides, wss)
 }
 
 // TransferSurfaceKey is the store key of TransferSurface's artifact:
 // the remote transfer grid from src to dst under mode.
 func TransferSurfaceKey(cal machine.Calibration, src, dst int, mode machine.Mode, strides []int, wss []units.Bytes) store.Key {
-	return store.SurfaceKey(cal, store.PatternTransfer, mode, src, dst, strides, wss)
+	return store.SurfaceKey(cal, store.PatternTransfer, mode.String(), src, dst, strides, wss)
 }
 
-// CopyCurveKey is the store key of CopyCurve's artifact. The working
-// set is clamped to the transfer cap exactly as the sweep clamps it,
-// so two over-cap requests share one entry.
+// CopyCurveKey is the store key of CopyCurve's one-row artifact. The
+// working set is clamped to the transfer cap exactly as the sweep
+// clamps it, so two over-cap requests share one entry.
 func CopyCurveKey(cal machine.Calibration, idx int, ws units.Bytes, strides []int, stridedLoads bool) store.Key {
-	if ws > transferCap {
-		ws = transferCap
-	}
 	variant := "ss"
 	if stridedLoads {
 		variant = "sl"
 	}
-	return store.CurveKey(cal, store.PatternCopy, variant, idx, 0, strides, ws)
+	return store.SurfaceKey(cal, store.PatternCopy, variant, idx, 0, strides, []units.Bytes{min(ws, transferCap)})
 }
 
-// TransferCurveKey is the store key of TransferCurve's artifact. The
-// working set is clamped to the per-point transfer cap the sweep
-// actually measures.
+// TransferCurveKey is the store key of TransferCurve's one-row
+// artifact. The working set is clamped to the per-point transfer cap
+// the sweep actually measures.
 func TransferCurveKey(cal machine.Calibration, src, dst int, ws units.Bytes, strides []int, mode machine.Mode, stridedLoads, pipelined bool) store.Key {
 	variant := mode.String() + "-ss"
 	if stridedLoads {
@@ -50,8 +47,5 @@ func TransferCurveKey(cal machine.Calibration, src, dst int, ws units.Bytes, str
 	if pipelined {
 		variant += "-p"
 	}
-	if ws > transferCap {
-		ws = transferCap
-	}
-	return store.CurveKey(cal, store.PatternRemoteCopy, variant, src, dst, strides, ws)
+	return store.SurfaceKey(cal, store.PatternRemoteCopy, variant, src, dst, strides, []units.Bytes{min(ws, transferCap)})
 }

@@ -160,24 +160,46 @@ func TestCorruptStoreEntryResimulated(t *testing.T) {
 	}
 }
 
-// TestCurveStoreBacked covers the copy/remote-copy curve path.
+// TestCurveStoreBacked covers the copy/remote-copy curve path: a
+// curve is a one-row surface at the clamped working set, stored and
+// served through the same path as the grids.
 func TestCurveStoreBacked(t *testing.T) {
 	strides := []int{1, 8}
-	run := func(dir string) []byte {
+	run := func(dir string) ([]byte, *sweep.Pool) {
 		p := t3dPool(t, dir)
-		c := CopyCurve(p, 0, 8*units.MB, strides, true)
-		b, err := c.MarshalBinary()
+		c := CopyCurve(p, 0, 64*units.MB, strides, true)
+		if len(c.WorkingSets) != 1 || c.WorkingSets[0] != transferCap {
+			t.Fatalf("curve working sets = %v, want the one clamped row %v", c.WorkingSets, transferCap)
+		}
+		return surfBytes(t, c), p
+	}
+	want, _ := run("")
+	dir := t.TempDir()
+	if cold, _ := run(dir); !bytes.Equal(cold, want) {
+		t.Error("cold curve differs from the storeless curve")
+	}
+	warm, p := run(dir)
+	if !bytes.Equal(warm, want) {
+		t.Error("warm curve differs from the storeless curve")
+	}
+	if pts := p.Points(); pts != 0 {
+		t.Errorf("warm curve simulated %d points, want 0", pts)
+	}
+	e := p.Store().Entries()
+	if len(e) != 1 || e[0].Pattern != "copy-sl@0" || !e[0].Complete() {
+		t.Errorf("store entries = %+v, want one complete copy-sl@0 curve", e)
+	}
+
+	// The remote copy curve takes the same path, failing kernel and all.
+	transfer := func(dir string) []byte {
+		p := t3dPool(t, dir)
+		c, err := TransferCurve(p, 0, machine.PreferredPartner(p.Machine()), 8*units.MB, strides, machine.Deposit, false, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		return surfBytes(t, c)
 	}
-	want := run("")
-	dir := t.TempDir()
-	if cold := run(dir); !bytes.Equal(cold, want) {
-		t.Error("cold curve differs from the storeless curve")
-	}
-	if warm := run(dir); !bytes.Equal(warm, want) {
-		t.Error("warm curve differs from the storeless curve")
+	if cold := transfer(dir); !bytes.Equal(cold, transfer("")) || !bytes.Equal(transfer(dir), cold) {
+		t.Error("store-backed transfer curve differs from the storeless curve")
 	}
 }

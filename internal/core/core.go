@@ -69,7 +69,8 @@ func (s Spec) String() string {
 
 // Characterization is the measured model of one machine: the load
 // surfaces of Figures 1/3/6, the transfer curves of Figures 12-14,
-// and the local copy curves of Figures 9-11.
+// and the local copy curves of Figures 9-11. Each curve is a
+// one-row surface at the copy working set.
 type Characterization struct {
 	MachineName string
 
@@ -78,18 +79,52 @@ type Characterization struct {
 
 	// LocalCopyStridedLoads / LocalCopyStridedStores are the
 	// large-transfer copy curves (Figures 9-11).
-	LocalCopyStridedLoads  *surface.Curve
-	LocalCopyStridedStores *surface.Curve
+	LocalCopyStridedLoads  *surface.Surface
+	LocalCopyStridedStores *surface.Surface
 
 	// RemoteFetch / RemoteDeposit are the remote transfer curves at
 	// a large working set, strided on the remote side (Figures
 	// 12-14). RemoteDeposit is nil on machines without deposits.
-	RemoteFetch   *surface.Curve
-	RemoteDeposit *surface.Curve
+	RemoteFetch   *surface.Surface
+	RemoteDeposit *surface.Surface
 
 	// BlockedFetch is the remote fetch curve under pipelined
 	// (cache-resident) blocking, where the machine distinguishes it.
-	BlockedFetch *surface.Curve
+	BlockedFetch *surface.Surface
+}
+
+// Component names: one per characterization surface, as Component
+// reports them. memserve keys its planner provenance by these names.
+const (
+	CompLoad    = "load"
+	CompCopySL  = "copy-sl"
+	CompCopySS  = "copy-ss"
+	CompFetch   = "fetch"
+	CompDeposit = "deposit"
+	CompBlocked = "blocked"
+)
+
+// Component names the curve Bandwidth consults for s and returns it.
+// The name is "" when s has an unknown locality or mode; the curve is
+// nil when the machine lacks it (e.g. deposits on the 8400). A
+// blocked fetch falls back to the plain fetch curve on machines that
+// do not distinguish it.
+func (c *Characterization) Component(s Spec) (string, *surface.Surface) {
+	switch {
+	case s.Locality == Local && s.LoadStride >= s.StoreStride:
+		return CompCopySL, c.LocalCopyStridedLoads
+	case s.Locality == Local:
+		return CompCopySS, c.LocalCopyStridedStores
+	case s.Locality != Remote:
+		return "", nil
+	case s.Mode == machine.Fetch && s.Blocked && c.BlockedFetch != nil:
+		return CompBlocked, c.BlockedFetch
+	case s.Mode == machine.Fetch:
+		return CompFetch, c.RemoteFetch
+	case s.Mode == machine.Deposit:
+		return CompDeposit, c.RemoteDeposit
+	}
+	return "", nil
 }
 
 // MeasureOptions tunes the sweep grids.
@@ -137,7 +172,7 @@ func Measure(p *sweep.Pool, opt MeasureOptions) *Characterization {
 }
 
 // Bandwidth estimates the bandwidth of a transfer described by s,
-// interpolating the measured grids.
+// interpolating the measured curve Component names.
 func (c *Characterization) Bandwidth(s Spec) (units.BytesPerSec, error) {
 	stride := s.LoadStride
 	if s.StoreStride > stride {
@@ -146,24 +181,13 @@ func (c *Characterization) Bandwidth(s Spec) (units.BytesPerSec, error) {
 	if stride < 1 {
 		stride = 1
 	}
-	switch s.Locality {
-	case Local:
-		if s.LoadStride >= s.StoreStride {
-			return c.LocalCopyStridedLoads.At(stride), nil
-		}
-		return c.LocalCopyStridedStores.At(stride), nil
-	case Remote:
-		switch {
-		case s.Mode == machine.Fetch && s.Blocked && c.BlockedFetch != nil:
-			return c.BlockedFetch.At(stride), nil
-		case s.Mode == machine.Fetch && c.RemoteFetch != nil:
-			return c.RemoteFetch.At(stride), nil
-		case s.Mode == machine.Deposit && c.RemoteDeposit != nil:
-			return c.RemoteDeposit.At(stride), nil
-		}
+	if _, cur := c.Component(s); cur != nil {
+		return cur.At(s.WorkingSet, stride), nil
+	}
+	if s.Locality == Remote {
 		return 0, fmt.Errorf("%s: no %v transfers on this machine", c.MachineName, s.Mode)
 	}
-	return 0, fmt.Errorf("unknown locality %v", s.Locality)
+	return 0, fmt.Errorf("%s: no curve for locality %v", c.MachineName, s.Locality)
 }
 
 // LoadBandwidth estimates pure load bandwidth at a working set and

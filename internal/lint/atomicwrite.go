@@ -8,8 +8,8 @@ import (
 )
 
 // Atomicwrite machine-checks the surface store's crash-safety
-// contract (DESIGN §14): artifact files — snapshot surfaces (.surf),
-// curves (.curv), and the store manifest — are only ever published by
+// contract (DESIGN §14): artifact files — surface snapshots (.surf)
+// and the store manifest — are only ever published by
 // the tmp+rename idiom, so a crashed writer leaves either the old
 // bytes or the new bytes, never a truncated mix the checksum layer
 // then has to quarantine. A direct os.WriteFile or os.Create on a
@@ -17,9 +17,9 @@ import (
 //
 // The analyzer tracks artifact-path taint within each package:
 //
-//   - sources: string literals ending in ".surf" or ".curv", literals
-//     naming a manifest file, package constants initialized to one,
-//     and in-package functions that return one (the store's ext());
+//   - sources: string literals ending in ".surf", literals naming a
+//     manifest file, package constants initialized to one, and
+//     in-package functions that return one;
 //   - propagation: local assignment, string concatenation,
 //     filepath.Join, and calls to tainted in-package functions;
 //   - the escape hatch: a path that carries a ".tmp" suffix is a
@@ -33,7 +33,7 @@ import (
 // place) passes untouched.
 var Atomicwrite = &Analyzer{
 	Name: "atomicwrite",
-	Doc: "artifact files (.surf/.curv/manifest) must be written via " +
+	Doc: "artifact files (.surf/manifest) must be written via " +
 		"tmp+rename, never by a direct write to the final path",
 	Severity: SeverityError,
 	Run:      runAtomicwrite,
@@ -102,13 +102,13 @@ func runAtomicwrite(p *Pass) {
 }
 
 // isArtifactLiteral reports whether the string constant names a final
-// artifact: a snapshot (.surf), a curve (.curv), or a manifest file.
+// artifact: a surface snapshot (.surf) or a manifest file.
 func isArtifactLiteral(s string) bool {
 	base := s
 	if i := strings.LastIndexByte(base, '/'); i >= 0 {
 		base = base[i+1:]
 	}
-	return strings.HasSuffix(base, ".surf") || strings.HasSuffix(base, ".curv") ||
+	return strings.HasSuffix(base, ".surf") ||
 		(strings.Contains(base, "manifest") && strings.Contains(base, "."))
 }
 

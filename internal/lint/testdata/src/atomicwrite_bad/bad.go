@@ -23,9 +23,9 @@ func saveManifestDirect(dir string, data []byte) error {
 	return os.WriteFile(path, data, 0o644) // want:atomicwrite artifact file written directly to its final path
 }
 
-// createCurve opens the final curve path for writing directly.
-func createCurve(dir string) (*os.File, error) {
-	return os.Create(filepath.Join(dir, "p.curv")) // want:atomicwrite artifact file written directly to its final path
+// createSnapshot opens the final snapshot path for writing directly.
+func createSnapshot(dir string) (*os.File, error) {
+	return os.Create(filepath.Join(dir, "p.surf")) // want:atomicwrite artifact file written directly to its final path
 }
 
 // rawSave writes its argument with no tmp+rename protection; it is

@@ -10,13 +10,10 @@ import (
 // manifestName matches the store's manifest constant.
 const manifestName = "manifest.bin"
 
-// ext mirrors the store's kind-to-extension mapping; its results are
-// artifact names.
-func ext(kind int) string {
-	if kind == 0 {
-		return ".surf"
-	}
-	return ".curv"
+// snapshotName mirrors the store's key-to-file-name mapping; its
+// results are artifact names.
+func snapshotName(stem string) string {
+	return stem + ".surf"
 }
 
 // writeFileAtomic is the sanctioned idiom: write the temp path, then
@@ -40,10 +37,10 @@ func saveManifest(dir string, data []byte) error {
 	return writeFileAtomic(filepath.Join(dir, manifestName), data)
 }
 
-// saveKind derives the artifact name from the in-package extension
+// saveNamed derives the artifact name from the in-package naming
 // helper; still atomic.
-func saveKind(dir, stem string, kind int, data []byte) error {
-	name := stem + ext(kind)
+func saveNamed(dir, stem string, data []byte) error {
+	name := snapshotName(stem)
 	return writeFileAtomic(filepath.Join(dir, name), data)
 }
 

@@ -130,54 +130,49 @@ func PoolNames(ps map[string]*sweep.Pool) []string {
 // point runs one scalar measurement through the pool — ColdReset,
 // then kernel on a worker machine, exactly the sequence the headline
 // tables always used — with store-backed caching: the value persists
-// as a single-stride curve under key, so a warm run serves Tables A
-// and B without simulating.
-func point(p *sweep.Pool, key store.Key, stride int, title string, kernel func(m machine.Machine) (units.BytesPerSec, error)) float64 {
-	if st := p.Store(); st != nil {
-		if c, ok := st.GetCurve(key); ok && len(c.BW) == 1 {
-			return c.BW[0].MBps()
+// as a 1x1 surface at (ws, stride) under key, so a warm run serves
+// Tables A and B without simulating.
+func point(p *sweep.Pool, key store.Key, ws units.Bytes, stride int, title string, kernel func(m machine.Machine) (units.BytesPerSec, error)) float64 {
+	st := p.Store()
+	if st != nil {
+		if s, ok := st.GetSurface(key); ok {
+			return s.BW[0][0].MBps()
 		}
 	}
-	out := make([]units.BytesPerSec, 1)
+	s := surface.New(p.Machine().Name(), title, []int{stride}, []units.Bytes{ws})
+	s.CalHash = key.CalHash
 	err := p.Run(1, func(m machine.Machine, i int) error {
 		v, kerr := kernel(m)
-		if kerr != nil {
-			return kerr
-		}
-		out[i] = v
-		return nil
+		s.Set(0, 0, v)
+		return kerr
 	})
 	if err != nil {
 		return 0
 	}
-	bw := out[0]
-	if st := p.Store(); st != nil {
-		c := &surface.Curve{Machine: p.Machine().Name(), Title: title,
-			CalHash: key.CalHash,
-			Strides: []int{stride}, BW: []units.BytesPerSec{bw}}
-		_ = st.PutCurve(key, c)
+	if st != nil {
+		_ = st.PutSurface(key, s)
 	}
-	return bw.MBps()
+	return s.BW[0][0].MBps()
 }
 
 // loadPoint measures one LoadSum plateau point.
 func loadPoint(p *sweep.Pool, ws units.Bytes, stride int) float64 {
 	cal := p.Machine().Calibration()
-	key := store.CurveKey(cal, store.PatternLoad, "pt", 0, 0, []int{stride}, ws)
-	return point(p, key, stride, "headline load point", func(m machine.Machine) (units.BytesPerSec, error) {
+	key := store.SurfaceKey(cal, store.PatternLoad, "pt", 0, 0, []int{stride}, []units.Bytes{ws})
+	return point(p, key, ws, stride, "headline load point", func(m machine.Machine) (units.BytesPerSec, error) {
 		return bench.LoadSum(m, 0, access.Pattern{
 			Base: machine.LocalBase(0), WorkingSet: ws, Stride: stride}), nil
 	})
 }
 
 // copyPoint measures one local copy point at a large working set. The
-// key's variant carries both strides — the curve shape only has one
+// key's variant carries both strides — the surface has only one
 // stride axis.
 func copyPoint(p *sweep.Pool, loadStride, storeStride int) float64 {
 	cal := p.Machine().Calibration()
 	variant := fmt.Sprintf("pt-l%d-s%d", loadStride, storeStride)
-	key := store.CurveKey(cal, store.PatternCopy, variant, 0, 0, []int{loadStride}, 8*units.MB)
-	return point(p, key, loadStride, "headline copy point", func(m machine.Machine) (units.BytesPerSec, error) {
+	key := store.SurfaceKey(cal, store.PatternCopy, variant, 0, 0, []int{loadStride}, []units.Bytes{8 * units.MB})
+	return point(p, key, 8*units.MB, loadStride, "headline copy point", func(m machine.Machine) (units.BytesPerSec, error) {
 		base := machine.LocalBase(0)
 		return bench.LocalCopy(m, 0, access.CopyPattern{
 			SrcBase: base, DstBase: base + access.Addr(1<<30) + access.Addr(2*units.MB) + 128,
@@ -191,8 +186,8 @@ func transferPoint(p *sweep.Pool, mode machine.Mode, loadStride, storeStride int
 	cal := p.Machine().Calibration()
 	partner := machine.PreferredPartner(p.Machine())
 	variant := fmt.Sprintf("%s-pt-l%d-s%d", mode, loadStride, storeStride)
-	key := store.CurveKey(cal, store.PatternRemoteCopy, variant, 0, partner, []int{loadStride}, 8*units.MB)
-	return point(p, key, loadStride, "headline transfer point", func(m machine.Machine) (units.BytesPerSec, error) {
+	key := store.SurfaceKey(cal, store.PatternRemoteCopy, variant, 0, partner, []int{loadStride}, []units.Bytes{8 * units.MB})
+	return point(p, key, 8*units.MB, loadStride, "headline transfer point", func(m machine.Machine) (units.BytesPerSec, error) {
 		return bench.Transfer(m, 0, partner, access.CopyPattern{
 			SrcBase: machine.LocalBase(0), DstBase: machine.LocalBase(partner),
 			WorkingSet: 8 * units.MB, LoadStride: loadStride, StoreStride: storeStride,
@@ -342,23 +337,25 @@ func TransferFigurePruned(p *sweep.Pool, mode machine.Mode, maxWS units.Bytes) (
 	return s, simulated, len(strides) * len(wss), nil
 }
 
-// CopyFigure regenerates one of the local copy figures (9-11).
-func CopyFigure(p *sweep.Pool) (stridedLoads, stridedStores *surface.Curve) {
+// CopyFigure regenerates one of the local copy figures (9-11): two
+// one-row surfaces.
+func CopyFigure(p *sweep.Pool) (stridedLoads, stridedStores *surface.Surface) {
 	return bench.CopyCurve(p, 0, 64*units.MB, surface.CopyStrides, true),
 		bench.CopyCurve(p, 0, 64*units.MB, surface.CopyStrides, false)
 }
 
-// RemoteCopyFigure regenerates one of the remote copy figures (12-14).
-func RemoteCopyFigure(p *sweep.Pool) ([]*surface.Curve, error) {
+// RemoteCopyFigure regenerates one of the remote copy figures
+// (12-14) as one-row surfaces.
+func RemoteCopyFigure(p *sweep.Pool) ([]*surface.Surface, error) {
 	partner := machine.PreferredPartner(p.Machine())
-	var out []*surface.Curve
+	var out []*surface.Surface
 	if _, ok := p.Machine().(*machine.SMP); ok {
 		c, err := bench.TransferCurve(p, 0, partner, 64*units.MB, surface.CopyStrides,
 			machine.Fetch, true, false)
 		if err != nil {
 			return nil, err
 		}
-		return []*surface.Curve{c}, nil
+		return []*surface.Surface{c}, nil
 	}
 	a, err := bench.TransferCurve(p, 0, partner, 64*units.MB, surface.CopyStrides,
 		machine.Deposit, true, false)

@@ -147,7 +147,6 @@ type SurfaceInfo struct {
 	Key       string `json:"key"`
 	Machine   string `json:"machine"`
 	Pattern   string `json:"pattern"`
-	Kind      string `json:"kind"`
 	Cells     int    `json:"cells"`
 	Simulated int    `json:"simulated"`
 	CalHash   string `json:"cal_hash"`
@@ -158,18 +157,16 @@ type SurfacesResponse struct {
 	Surfaces []SurfaceInfo `json:"surfaces"`
 }
 
-// SurfaceSliceResponse is one artifact's data: curves fill BW,
-// surfaces fill WorkingSets/Grid/Sources.
+// SurfaceSliceResponse is one artifact's data. Every artifact is a
+// surface; a fixed-working-set curve comes back as a one-row grid.
 type SurfaceSliceResponse struct {
 	Key         string      `json:"key"`
 	Machine     string      `json:"machine"`
 	Pattern     string      `json:"pattern"`
-	Kind        string      `json:"kind"`
 	Title       string      `json:"title"`
 	CalHash     string      `json:"cal_hash"`
 	Strides     []int       `json:"strides"`
 	WorkingSets []int64     `json:"working_sets,omitempty"`
-	BW          []float64   `json:"bw_mbps,omitempty"`
 	Grid        [][]float64 `json:"bw_mbps_grid,omitempty"`
 	Sources     [][]string  `json:"sources,omitempty"`
 }

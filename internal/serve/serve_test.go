@@ -322,7 +322,7 @@ func TestSurfacesEnumerationAndSlice(t *testing.T) {
 		t.Fatalf("got %d surfaces, want 1", len(list.Surfaces))
 	}
 	info := list.Surfaces[0]
-	if info.Machine != "Cray T3E" || info.Kind != "surface" {
+	if info.Machine != "Cray T3E" || info.Pattern != "load@0" {
 		t.Fatalf("unexpected surface info %+v", info)
 	}
 	if info.Cells != len(warmStrides)*len(warmWSS) || info.Simulated != info.Cells {

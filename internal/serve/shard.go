@@ -14,20 +14,9 @@ import (
 	"repro/internal/units"
 )
 
-// Planner component names: the provenance map keys tying each
-// characterization curve to the confidence its answers carry.
-const (
-	compLoad    = "load"
-	compCopySL  = "copy-sl"
-	compCopySS  = "copy-ss"
-	compFetch   = "fetch"
-	compDeposit = "deposit"
-	compBlocked = "blocked"
-)
-
 // shard serves one machine: its own store instance (own lock, own
-// LRU) over the shared directory, the stateless analytic model, and a
-// planner characterization rebuilt from stored artifacts at startup.
+// LRU) over the shared directory, and a planner characterization
+// rebuilt at startup from stored artifacts or the analytic model.
 // Everything here is read-only after newShard; the store guards its
 // own mutation internally.
 type shard struct {
@@ -36,11 +25,11 @@ type shard struct {
 	cal     machine.Calibration
 	partner int // canonical remote partner for planner transfers
 	st      *store.Store
-	model   *analytic.Model
 	char    *core.Characterization
-	// prov grades each characterization component by where its curve
-	// came from: Exact (stored, fully simulated), Interpolated
-	// (stored but partially analytic), Analytic (synthesized).
+	// prov grades each characterization component (keyed by the
+	// core.Comp* names) by where its surface came from: Exact
+	// (stored, fully simulated), Interpolated (stored but partially
+	// analytic), Analytic (synthesized).
 	prov map[string]store.Confidence
 	grid core.MeasureOptions
 }
@@ -80,7 +69,6 @@ func newShard(name string, cfg Config) (*shard, error) {
 		st:      st,
 		grid:    core.DefaultMeasure(),
 	}
-	sh.model = analytic.New(sh.cal)
 	sh.buildChar()
 	return sh, nil
 }
@@ -94,103 +82,58 @@ func (sh *shard) lookup(p store.Pattern, mode machine.Mode, ws units.Bytes, stri
 // buildChar reconstructs the planner characterization from stored
 // artifacts on the core.DefaultMeasure grids — the exact keys
 // core.Measure writes through bench — and synthesizes any missing
-// curve from the analytic model. The provenance of every component is
-// recorded so planner responses can carry an honest confidence tag.
+// surface from the analytic model. The provenance of every component
+// is recorded so planner responses can carry an honest confidence
+// tag.
 func (sh *shard) buildChar() {
 	opt := sh.grid
-	c := &core.Characterization{MachineName: sh.display}
 	prov := make(map[string]store.Confidence)
-
-	if s, ok := sh.st.GetSurface(bench.LoadSurfaceKey(sh.cal, 0, opt.Strides, opt.WorkingSets)); ok {
-		c.LocalLoad = s
-		prov[compLoad] = surfaceConfidence(s)
-	} else {
-		c.LocalLoad = analytic.LoadSurface(sh.cal, opt.Strides, opt.WorkingSets)
-		prov[compLoad] = store.Analytic
-	}
-
-	c.LocalCopyStridedLoads, prov[compCopySL] = sh.copyCurve(true)
-	c.LocalCopyStridedStores, prov[compCopySS] = sh.copyCurve(false)
-
-	if cur, conf, ok := sh.transferCurve(machine.Fetch, true, false); ok {
-		c.RemoteFetch = cur
-		prov[compFetch] = conf
-	}
-	if cur, conf, ok := sh.transferCurve(machine.Deposit, false, false); ok {
-		c.RemoteDeposit = cur
-		prov[compDeposit] = conf
-	}
-	if cur, conf, ok := sh.transferCurve(machine.Fetch, true, true); ok {
-		c.BlockedFetch = cur
-		prov[compBlocked] = conf
-	}
-	sh.char = c
-	sh.prov = prov
-}
-
-// copyCurve returns the local copy curve for one strided side: the
-// stored sweep artifact when present, else an analytic synthesis —
-// load and store phases composed serially through the load model.
-func (sh *shard) copyCurve(stridedLoads bool) (*surface.Curve, store.Confidence) {
-	opt := sh.grid
-	key := bench.CopyCurveKey(sh.cal, 0, opt.CopyWS, opt.Strides, stridedLoads)
-	if cur, ok := sh.st.GetCurve(key); ok {
-		return cur, store.Exact
-	}
-	cur := &surface.Curve{
-		Machine: sh.display, Title: "analytic local copy",
-		CalHash: sh.cal.Hash(),
-		Strides: append([]int(nil), opt.Strides...),
-		BW:      make([]units.BytesPerSec, len(opt.Strides)),
-	}
-	for i, stride := range opt.Strides {
-		load, stores := stride, 1
-		if !stridedLoads {
-			load, stores = 1, stride
+	// get is the one get-or-synthesize step: the stored artifact under
+	// key, else the analytic synthesis, else (the machine supports
+	// neither, e.g. deposits on the 8400) nil and no provenance entry,
+	// which leaves the planner strategy unavailable — matching what
+	// core.Measure produces against the simulator.
+	get := func(comp string, key store.Key, synth func() (*surface.Surface, error)) *surface.Surface {
+		if s, ok := sh.st.GetSurface(key); ok {
+			prov[comp] = surfaceConfidence(s)
+			return s
 		}
-		cur.BW[i] = serialBW(sh.model.LoadBW(opt.CopyWS, load), sh.model.LoadBW(opt.CopyWS, stores))
+		s, err := synth()
+		if err != nil {
+			return nil
+		}
+		prov[comp] = store.Analytic
+		return s
 	}
-	return cur, store.Analytic
-}
-
-// transferCurve returns one remote transfer curve: the stored sweep
-// artifact when present, else the analytic model's prediction. ok is
-// false when the machine supports neither (e.g. deposit on the 8400),
-// which leaves the planner strategy unavailable — matching what
-// core.Measure produces against the simulator.
-func (sh *shard) transferCurve(mode machine.Mode, stridedLoads, pipelined bool) (*surface.Curve, store.Confidence, bool) {
-	opt := sh.grid
-	key := bench.TransferCurveKey(sh.cal, 0, sh.partner, opt.CopyWS, opt.Strides, mode, stridedLoads, pipelined)
-	if cur, ok := sh.st.GetCurve(key); ok {
-		return cur, store.Exact, true
+	loads := func() (*surface.Surface, error) {
+		return analytic.LoadSurface(sh.cal, opt.Strides, opt.WorkingSets), nil
+	}
+	copies := func(stridedLoads bool) func() (*surface.Surface, error) {
+		return func() (*surface.Surface, error) {
+			return analytic.CopySurface(sh.cal, opt.CopyWS, opt.Strides, stridedLoads), nil
+		}
 	}
 	// The closed form does not model pipelined chunking; the plain
-	// mode curve stands in, still honestly tagged analytic.
-	cur := &surface.Curve{
-		Machine: sh.display, Title: "analytic remote copy, " + mode.String(),
-		CalHash: sh.cal.Hash(),
-		Strides: append([]int(nil), opt.Strides...),
-		BW:      make([]units.BytesPerSec, len(opt.Strides)),
-	}
-	for i, stride := range opt.Strides {
-		bw, err := sh.model.TransferBW(mode, opt.CopyWS, stride)
-		if err != nil {
-			return nil, store.Analytic, false
+	// mode curve stands in for the blocked fetch, still honestly
+	// tagged analytic.
+	transfers := func(mode machine.Mode) func() (*surface.Surface, error) {
+		return func() (*surface.Surface, error) {
+			return analytic.TransferSurface(sh.cal, mode, opt.Strides, []units.Bytes{opt.CopyWS})
 		}
-		cur.BW[i] = bw
 	}
-	return cur, store.Analytic, true
-}
-
-// serialBW composes two pipeline phases that do not overlap
-// (1/bw = 1/a + 1/b), spelled through the units helpers: move a
-// reference volume through both phases and measure the total.
-func serialBW(a, b units.BytesPerSec) units.BytesPerSec {
-	if a <= 0 || b <= 0 {
-		return 0
+	transferKey := func(mode machine.Mode, stridedLoads, pipelined bool) store.Key {
+		return bench.TransferCurveKey(sh.cal, 0, sh.partner, opt.CopyWS, opt.Strides, mode, stridedLoads, pipelined)
 	}
-	const n = units.MB
-	return units.BW(n, units.TimeFor(n, a)+units.TimeFor(n, b))
+	sh.char = &core.Characterization{
+		MachineName:            sh.display,
+		LocalLoad:              get(core.CompLoad, bench.LoadSurfaceKey(sh.cal, 0, opt.Strides, opt.WorkingSets), loads),
+		LocalCopyStridedLoads:  get(core.CompCopySL, bench.CopyCurveKey(sh.cal, 0, opt.CopyWS, opt.Strides, true), copies(true)),
+		LocalCopyStridedStores: get(core.CompCopySS, bench.CopyCurveKey(sh.cal, 0, opt.CopyWS, opt.Strides, false), copies(false)),
+		RemoteFetch:            get(core.CompFetch, transferKey(machine.Fetch, true, false), transfers(machine.Fetch)),
+		RemoteDeposit:          get(core.CompDeposit, transferKey(machine.Deposit, false, false), transfers(machine.Deposit)),
+		BlockedFetch:           get(core.CompBlocked, transferKey(machine.Fetch, true, true), transfers(machine.Fetch)),
+	}
+	sh.prov = prov
 }
 
 // surfaceConfidence grades a stored surface: Exact when every cell is
@@ -206,30 +149,13 @@ func surfaceConfidence(s *surface.Surface) store.Confidence {
 	return store.Exact
 }
 
-// stepComponent names the characterization curve core.Bandwidth would
-// consult for one planner step (mirrors its dispatch exactly).
-func (sh *shard) stepComponent(sp core.Spec) string {
-	if sp.Locality == core.Local {
-		if sp.LoadStride >= sp.StoreStride {
-			return compCopySL
-		}
-		return compCopySS
-	}
-	switch {
-	case sp.Mode == machine.Fetch && sp.Blocked && sh.char.BlockedFetch != nil:
-		return compBlocked
-	case sp.Mode == machine.Fetch:
-		return compFetch
-	default:
-		return compDeposit
-	}
-}
-
-// stepConfidence grades one planner step: the component curve's base
-// provenance, degraded to Interpolated when an exact curve is read
-// off-grid (Curve.At interpolates between measured strides).
+// stepConfidence grades one planner step: the base provenance of the
+// component core.Bandwidth consults, degraded to Interpolated when an
+// exact curve is read off-grid (Surface.At interpolates between
+// measured strides).
 func (sh *shard) stepConfidence(sp core.Spec) store.Confidence {
-	base, ok := sh.prov[sh.stepComponent(sp)]
+	comp, _ := sh.char.Component(sp)
+	base, ok := sh.prov[comp]
 	if !ok {
 		return store.Analytic
 	}

@@ -40,7 +40,7 @@ func hammerKeys(t *testing.T, cal machine.Calibration) ([]Key, []*surface.Surfac
 				s.Set(wi, si, units.BytesPerSec(1e8*float64(wi+1)/float64(si+i+1)))
 			}
 		}
-		keys[i] = SurfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, strides, testWSS)
+		keys[i] = SurfaceKey(cal, PatternLoad, "", 0, 0, strides, testWSS)
 		surfs[i] = s
 	}
 	return keys, surfs
@@ -48,7 +48,7 @@ func hammerKeys(t *testing.T, cal machine.Calibration) ([]Key, []*surface.Surfac
 
 // missKey is a key no workload ever stores: every Get is a miss.
 func missKey(cal machine.Calibration) Key {
-	return SurfaceKey(cal, PatternLoad, machine.Fetch, 7, 0, []int{3}, testWSS)
+	return SurfaceKey(cal, PatternLoad, "", 7, 0, []int{3}, testWSS)
 }
 
 // runHammer seeds the store serially, then runs the identical op

@@ -1,18 +1,18 @@
 package store
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/surface"
-	"repro/internal/units"
 )
 
 // These tests pin the store's corruption accounting: every degraded
-// path — kind mismatch, unreadable bytes, decode failure, stale
-// calibration, grid drift — must tally exactly the counters the
+// path — unreadable bytes, decode failure, retired codec version,
+// stale calibration, grid drift — must tally exactly the counters the
 // paper-facing reports read (misses, quarantines, stale drops). A
 // silently dropped Inc (the dropcounter mutation class) makes the
 // store look healthier than it is.
@@ -47,24 +47,6 @@ func seedSurface(t *testing.T, dir string) (Key, *surface.Surface, machine.Calib
 		t.Fatalf("PutSurface: %v", err)
 	}
 	return k, s, cal
-}
-
-func TestStatsKindMismatchInCacheCountsMiss(t *testing.T) {
-	dir := t.TempDir()
-	cal := machine.NewT3D(1).Calibration()
-	st := openTest(t, dir)
-	if err := st.PutSurface(testKey(cal), testSurface(cal)); err != nil {
-		t.Fatalf("PutSurface: %v", err)
-	}
-	// The entry is warm in the LRU as a surface; asking for a curve
-	// under the same key must miss without touching disk.
-	if _, ok := st.GetCurve(testKey(cal)); ok {
-		t.Fatal("GetCurve served a cached surface")
-	}
-	stats := st.Stats()
-	if stats.Misses != 1 || stats.MemHits != 0 || stats.DiskHits != 0 {
-		t.Errorf("kind mismatch accounting: %+v, want exactly one miss", stats)
-	}
 }
 
 func TestStatsUnreadableArtifactQuarantinesAndMisses(t *testing.T) {
@@ -138,18 +120,16 @@ func TestStatsGridDriftQuarantinesAndMisses(t *testing.T) {
 	}
 }
 
-// seedCurve puts one curve and returns its key and curve.
-func seedCurve(t *testing.T, dir string) (Key, *surface.Curve) {
+// seedCurve puts one fixed-working-set copy curve — a one-row
+// surface — and returns its key and surface.
+func seedCurve(t *testing.T, dir string) (Key, *surface.Surface) {
 	t.Helper()
 	cal := machine.NewT3E(1).Calibration()
-	c := &surface.Curve{Machine: cal.Machine, Title: "test copy",
-		CalHash: cal.Hash(),
-		Strides: []int{1, 2, 4},
-		BW:      []units.BytesPerSec{3e8, 2e8, 1e8}}
-	k := CurveKey(cal, PatternCopy, "sl", 0, 0, c.Strides, 8*units.MB)
+	c := testCurve(cal)
+	k := SurfaceKey(cal, PatternCopy, "sl", 0, 0, c.Strides, c.WorkingSets)
 	st := openTest(t, dir)
-	if err := st.PutCurve(k, c); err != nil {
-		t.Fatalf("PutCurve: %v", err)
+	if err := st.PutSurface(k, c); err != nil {
+		t.Fatalf("PutSurface: %v", err)
 	}
 	return k, c
 }
@@ -158,8 +138,8 @@ func TestStatsUndecodableCurveQuarantinesAndMisses(t *testing.T) {
 	dir := t.TempDir()
 	k, _ := seedCurve(t, dir)
 	st := plantSurface(t, dir, k, []byte("not a curve snapshot"))
-	if _, ok := st.GetCurve(k); ok {
-		t.Fatal("GetCurve served undecodable bytes")
+	if _, ok := st.GetSurface(k); ok {
+		t.Fatal("GetSurface served undecodable bytes")
 	}
 	stats := st.Stats()
 	if stats.Misses != 1 || stats.Quarantined != 1 || stats.StaleDrops != 0 {
@@ -170,18 +150,80 @@ func TestStatsUndecodableCurveQuarantinesAndMisses(t *testing.T) {
 func TestStatsStaleCurveCountsStaleDropAndMiss(t *testing.T) {
 	dir := t.TempDir()
 	k, c := seedCurve(t, dir)
-	stale := *c
+	stale := cloneSurface(c)
 	stale.CalHash = c.CalHash + 1
 	raw, err := stale.MarshalBinary()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
 	st := plantSurface(t, dir, k, raw)
-	if _, ok := st.GetCurve(k); ok {
-		t.Fatal("GetCurve served a stale-calibration curve")
+	if _, ok := st.GetSurface(k); ok {
+		t.Fatal("GetSurface served a stale-calibration curve")
 	}
 	stats := st.Stats()
 	if stats.StaleDrops != 1 || stats.Misses != 1 || stats.Quarantined != 1 {
 		t.Errorf("stale curve accounting: %+v, want one stale drop, miss, and quarantine", stats)
+	}
+}
+
+// TestStatsCurveGridMismatchQuarantinesAndMisses: a one-row artifact
+// whose working set (or stride axis) does not match its key's grid is
+// never served — the grid signature is checked for every artifact,
+// curves included.
+func TestStatsCurveGridMismatchQuarantinesAndMisses(t *testing.T) {
+	for name, drift := range map[string]func(c *surface.Surface) *surface.Surface{
+		"working set": func(c *surface.Surface) *surface.Surface {
+			d := cloneSurface(c)
+			d.WorkingSets[0] *= 2
+			return d
+		},
+		"strides": func(c *surface.Surface) *surface.Surface {
+			d := surface.New(c.Machine, c.Title, []int{1, 2, 8}, c.WorkingSets)
+			d.CalHash = c.CalHash
+			return d
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			k, c := seedCurve(t, dir)
+			raw, err := drift(c).MarshalBinary()
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
+			st := plantSurface(t, dir, k, raw)
+			if _, ok := st.GetSurface(k); ok {
+				t.Fatal("GetSurface served a curve whose grid does not match its key")
+			}
+			stats := st.Stats()
+			if stats.Misses != 1 || stats.Quarantined != 1 || stats.StaleDrops != 0 {
+				t.Errorf("curve grid mismatch accounting: %+v, want one miss and one quarantine", stats)
+			}
+			if st.Len() != 0 {
+				t.Errorf("manifest still indexes the mismatched curve (len %d)", st.Len())
+			}
+		})
+	}
+}
+
+// TestStatsV1SnapshotQuarantinesAndMisses: the SURF v1 upgrade path is
+// gone, so a v1 artifact under a current key is a quarantined miss —
+// re-simulated by the caller, never a crash.
+func TestStatsV1SnapshotQuarantinesAndMisses(t *testing.T) {
+	dir := t.TempDir()
+	k, s, _ := seedSurface(t, dir)
+	raw, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	// The v1 layout: version 1, no Source plane after the BW cells.
+	raw = raw[:len(raw)-len(s.WorkingSets)*len(s.Strides)]
+	binary.LittleEndian.PutUint16(raw[4:], 1)
+	st := plantSurface(t, dir, k, raw)
+	if _, ok := st.GetSurface(k); ok {
+		t.Fatal("GetSurface served a v1 snapshot")
+	}
+	stats := st.Stats()
+	if stats.Misses != 1 || stats.Quarantined != 1 || stats.StaleDrops != 0 {
+		t.Errorf("v1 snapshot accounting: %+v, want one miss and one quarantine", stats)
 	}
 }

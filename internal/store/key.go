@@ -1,10 +1,11 @@
 // Package store is the persistent, content-addressed surface store:
-// the fast face of the characterization. Every sweep artifact — a
-// stride x working-set bandwidth surface or a fixed-working-set curve
-// — is keyed by the machine calibration it was measured from, the
-// access pattern, and a signature of the sweep grid, and persisted as
-// a byte-stable snapshot under a store directory next to a versioned
-// manifest. An in-memory LRU serves repeated lookups without touching
+// the fast face of the characterization. Every sweep artifact is a
+// surface.Surface — a stride x working-set bandwidth grid, or a
+// fixed-working-set stride curve stored as a grid of one row — keyed
+// by the machine calibration it was measured from, the access
+// pattern, and a signature of the sweep grid, and persisted as a
+// byte-stable SURF snapshot under a store directory next to a
+// versioned manifest. An in-memory LRU serves repeated lookups without touching
 // the disk, and the sweep layer (sweep.Pool + bench) consults the
 // store before simulating: a whole-surface hit is free, a
 // partially-simulated surface (a pruned sweep's artifact) costs only
@@ -62,13 +63,13 @@ type Key struct {
 	// Machine is the machine's display name (Calibration.Machine).
 	Machine string
 	// Pattern names the benchmark family, with the transfer mode and
-	// any fixed sweep parameters folded in by the helpers below
-	// (e.g. "transfer-fetch@0-1", "copy-sl@0").
+	// any fixed sweep parameters folded in by SurfaceKey (e.g.
+	// "transfer-fetch@0-1", "copy-sl@0").
 	Pattern string
 	// CalHash is the machine calibration hash the sweep ran under.
 	CalHash uint64
 	// GridSig digests the sweep grid: the stride axis and the
-	// working-set axis (or the fixed working set of a curve).
+	// working-set axis (one entry for a fixed-working-set curve).
 	GridSig uint64
 }
 
@@ -111,56 +112,32 @@ func SurfaceGridSig(strides []int, wss []units.Bytes) uint64 {
 	return uint64(h)
 }
 
-// CurveGridSig digests a curve sweep grid: the stride axis and the
-// single fixed working set. The leading tag keeps a one-row surface
-// and a curve over the same axes from colliding.
-func CurveGridSig(strides []int, ws units.Bytes) uint64 {
-	h := fnvOffset.byte('C')
-	h = h.u64(uint64(len(strides)))
-	for _, s := range strides {
-		h = h.u64(uint64(int64(s)))
-	}
-	h = h.u64(uint64(int64(ws)))
-	return uint64(h)
-}
-
 // Checksum digests a snapshot file's bytes — the manifest's
 // corruption check. A bit flip in stored bandwidth data decodes
 // cleanly, so codec validation alone cannot catch it; the checksum
 // does.
 func Checksum(p []byte) uint64 { return uint64(fnvOffset.bytes(p)) }
 
-// SurfaceKey builds the key of a load or transfer surface sweep.
-// mode is ignored for PatternLoad; idx names the sweeping node (src
-// for transfers) and dst the transfer destination.
-func SurfaceKey(cal machine.Calibration, p Pattern, mode machine.Mode, idx, dst int, strides []int, wss []units.Bytes) Key {
+// SurfaceKey builds the key of a sweep artifact. The pattern string
+// is p, then "-" and the variant when one is given — the sweep's
+// remaining shape parameters: the transfer mode, which side is
+// strided, pipelining, e.g. "fetch", "sl", "fetch-ss-p" — then "@"
+// and the sweeping node idx, then "-" and dst for the two-node
+// families (transfer, remotecopy).
+func SurfaceKey(cal machine.Calibration, p Pattern, variant string, idx, dst int, strides []int, wss []units.Bytes) Key {
 	pat := string(p)
-	if p == PatternTransfer {
-		pat += "-" + mode.String() + "@" + itoa(idx) + "-" + itoa(dst)
-	} else {
-		pat += "@" + itoa(idx)
+	if variant != "" {
+		pat += "-" + variant
 	}
-	return Key{
-		Machine: cal.Machine,
-		Pattern: pat,
-		CalHash: cal.Hash(),
-		GridSig: SurfaceGridSig(strides, wss),
-	}
-}
-
-// CurveKey builds the key of a fixed-working-set stride sweep. The
-// variant string folds in the sweep's remaining shape parameters —
-// which side is strided, the mode, pipelining — e.g. "sl", "fetch-ss-p".
-func CurveKey(cal machine.Calibration, p Pattern, variant string, idx, dst int, strides []int, ws units.Bytes) Key {
-	pat := string(p) + "-" + variant + "@" + itoa(idx)
-	if p == PatternRemoteCopy {
+	pat += "@" + itoa(idx)
+	if p == PatternTransfer || p == PatternRemoteCopy {
 		pat += "-" + itoa(dst)
 	}
 	return Key{
 		Machine: cal.Machine,
 		Pattern: pat,
 		CalHash: cal.Hash(),
-		GridSig: CurveGridSig(strides, ws),
+		GridSig: SurfaceGridSig(strides, wss),
 	}
 }
 

@@ -68,7 +68,10 @@ func (s *Store) Lookup(cal machine.Calibration, p Pattern, mode machine.Mode, ws
 
 // surfacesFor collects the stored surfaces whose key matches the
 // query's machine, calibration, and pattern family, in manifest
-// order.
+// order. The family prefix ("load@", "transfer-<mode>@") excludes
+// the fixed-working-set curves ("load-pt@0", "remotecopy-...@0-1"):
+// they are one-row surfaces of a different sweep, never a stand-in
+// for the grid.
 func (s *Store) surfacesFor(cal machine.Calibration, p Pattern, mode machine.Mode) []*surface.Surface {
 	prefix := string(p) + "@"
 	if p == PatternTransfer {
@@ -84,15 +87,15 @@ func (s *Store) surfacesFor(cal machine.Calibration, p Pattern, mode machine.Mod
 	var keys []Key
 	for i := range s.man.Entries {
 		e := &s.man.Entries[i]
-		if e.Kind != KindSurface || e.Machine != cal.Machine ||
+		if e.Machine != cal.Machine ||
 			e.CalHash != hash || !strings.HasPrefix(e.Pattern, prefix) {
 			continue
 		}
 		keys = append(keys, e.Key())
 	}
 	for _, k := range keys {
-		if c, ok := s.load(k, KindSurface); ok && c.surface != nil {
-			out = append(out, c.surface)
+		if surf, ok := s.load(k); ok {
+			out = append(out, surf)
 		}
 	}
 	return out

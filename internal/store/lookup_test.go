@@ -32,7 +32,7 @@ func lookupFixture(t *testing.T) (*Store, machine.Calibration, *surface.Surface)
 		}
 	}
 	st := openTest(t, t.TempDir())
-	k := SurfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, strides, wss)
+	k := SurfaceKey(cal, PatternLoad, "", 0, 0, strides, wss)
 	if err := st.PutSurface(k, s); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestLookupRegimeBoundaryFallsBack(t *testing.T) {
 		}
 	}
 	st := openTest(t, t.TempDir())
-	k := SurfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, strides, wss)
+	k := SurfaceKey(cal, PatternLoad, "", 0, 0, strides, wss)
 	if err := st.PutSurface(k, s); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestLookupRegimeBoundaryFallsBack(t *testing.T) {
 func TestLookupRefusesAnalyticCells(t *testing.T) {
 	st, cal, s := lookupFixture(t)
 	s.SetSource(1, 2, surface.Analytic)
-	k := SurfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, s.Strides, s.WorkingSets)
+	k := SurfaceKey(cal, PatternLoad, "", 0, 0, s.Strides, s.WorkingSets)
 	if err := st.PutSurface(k, s); err != nil {
 		t.Fatal(err)
 	}
@@ -141,5 +141,73 @@ func TestLookupOffHull(t *testing.T) {
 	}
 	if r.Confidence != Analytic {
 		t.Errorf("confidence = %v, want Analytic off the hull", r.Confidence)
+	}
+}
+
+// TestLookupNeverServesCurves: fixed-working-set curves are one-row
+// surfaces in the same store as the grids, but Lookup's pattern
+// filters must skip them — a transfer query at the curve's working
+// set is answered exactly as if the curve were absent.
+func TestLookupNeverServesCurves(t *testing.T) {
+	cal := machine.NewT3E(1).Calibration()
+	ws := 8 * units.MB
+	strides := []int{1, 4, 16, 64}
+	fill := func(s *surface.Surface, bw units.BytesPerSec) *surface.Surface {
+		s.CalHash = cal.Hash()
+		for wi := range s.WorkingSets {
+			for si := range s.Strides {
+				s.Set(wi, si, bw)
+			}
+		}
+		return s
+	}
+	grid := fill(surface.New(cal.Machine, "transfer", []int{1, 16}, []units.Bytes{4 * units.MB, ws}), 5e8)
+	// Values no grid or model produces, so any leak shows.
+	fetchCurve := fill(surface.New(cal.Machine, "remote copy", strides, []units.Bytes{ws}), 1234)
+	loadPoint := fill(surface.New(cal.Machine, "load point", []int{1}, []units.Bytes{ws}), 4321)
+
+	open := func(withGrid, withCurves bool) *Store {
+		st := openTest(t, t.TempDir())
+		put := func(k Key, s *surface.Surface) {
+			if err := st.PutSurface(k, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if withGrid {
+			put(SurfaceKey(cal, PatternTransfer, "fetch", 0, 1, grid.Strides, grid.WorkingSets), grid)
+		}
+		if withCurves {
+			put(SurfaceKey(cal, PatternRemoteCopy, "fetch-sl", 0, 1, strides, []units.Bytes{ws}), fetchCurve)
+			put(SurfaceKey(cal, PatternLoad, "pt", 0, 0, []int{1}, []units.Bytes{ws}), loadPoint)
+		}
+		return st
+	}
+	cases := []struct {
+		name             string
+		without, withCur *Store
+	}{
+		{"beside a transfer grid", open(true, false), open(true, true)},
+		{"alone", open(false, false), open(false, true)},
+	}
+	for _, tc := range cases {
+		for _, q := range []struct {
+			p    Pattern
+			mode machine.Mode
+		}{{PatternTransfer, machine.Fetch}, {PatternLoad, machine.Fetch}} {
+			for _, stride := range append(strides, 2, 8, 32) {
+				want, err := tc.without.Lookup(cal, q.p, q.mode, ws, stride)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := tc.withCur.Lookup(cal, q.p, q.mode, ws, stride)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s: %s query at (%v, %d) = %+v with curves stored, %+v without",
+						tc.name, q.p, ws, stride, got, want)
+				}
+			}
+		}
 	}
 }

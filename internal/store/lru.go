@@ -15,19 +15,12 @@ type lru struct {
 	tail *lruEntry // least recently used
 }
 
+// lruEntry holds one decoded surface. The store clones on both the
+// put and the get side, so surf is never shared with callers.
 type lruEntry struct {
 	key        Key
-	surf       *cachedSurface
+	surf       *surface.Surface
 	prev, next *lruEntry
-}
-
-// cachedSurface is the decoded artifact an LRU slot holds: exactly
-// one of surface or curve is non-nil. The store clones on both the
-// put and the get side, so these pointers are never shared with
-// callers.
-type cachedSurface struct {
-	surface *surface.Surface
-	curve   *surface.Curve
 }
 
 func newLRU(capacity int) *lru {
@@ -35,7 +28,7 @@ func newLRU(capacity int) *lru {
 }
 
 // get returns the cached artifact and marks it most recently used.
-func (l *lru) get(k Key) (*cachedSurface, bool) {
+func (l *lru) get(k Key) (*surface.Surface, bool) {
 	e, ok := l.ents[k]
 	if !ok {
 		return nil, false
@@ -46,7 +39,7 @@ func (l *lru) get(k Key) (*cachedSurface, bool) {
 
 // put inserts or replaces k and returns how many entries were
 // evicted to stay within capacity.
-func (l *lru) put(k Key, v *cachedSurface) int {
+func (l *lru) put(k Key, v *surface.Surface) int {
 	if e, ok := l.ents[k]; ok {
 		e.surf = v
 		l.moveToFront(e)

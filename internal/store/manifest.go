@@ -6,8 +6,7 @@ import (
 )
 
 // The manifest is the store's index: one entry per persisted
-// artifact, carrying the full key, the artifact kind, the cell
-// provenance tally, and a checksum of the snapshot file's bytes. It
+// artifact, carrying the full key, the cell provenance tally, and a checksum of the snapshot file's bytes. It
 // is itself a versioned byte-stable snapshot — identical stores
 // marshal to identical manifests — so a store directory can be
 // diffed, golden-tested, and safely rewritten in place.
@@ -23,10 +22,14 @@ import (
 // version — quarantines aside and the store opens empty; the
 // artifacts it indexed are re-simulated or re-adopted by later
 // writes. Never a crash, never a stale serve.
+//
+// Version history: v1 entries carried an artifact kind byte (surface
+// or curve). v2 dropped it when every artifact became a surface; a v1
+// manifest quarantines like any other undecodable one.
 
 const (
 	manifestMagic   = "SSTM"
-	manifestVersion = 1
+	manifestVersion = 2
 	// manifestName is the manifest's file name within a store
 	// directory.
 	manifestName = "manifest.bin"
@@ -34,26 +37,6 @@ const (
 	// corrupt prefix cannot demand a giant allocation.
 	maxManifestElems = 1 << 24
 )
-
-// Kind distinguishes the two artifact shapes a store holds.
-type Kind uint8
-
-const (
-	// KindSurface is a stride x working-set surface snapshot.
-	KindSurface Kind = iota
-	// KindCurve is a fixed-working-set stride curve snapshot.
-	KindCurve
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindSurface:
-		return "surface"
-	case KindCurve:
-		return "curve"
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
 
 // Manifest indexes every artifact of one store directory.
 //
@@ -73,8 +56,6 @@ type Entry struct {
 	Pattern string
 	CalHash uint64
 	GridSig uint64
-	// Kind is the artifact shape (surface or curve).
-	Kind Kind
 	// Cells is the artifact's total cell count; Simulated counts the
 	// cells whose provenance is the simulator (the rest are analytic
 	// fills from a pruned sweep). Simulated == Cells marks a complete
@@ -153,7 +134,6 @@ func (e *Entry) MarshalBinary() ([]byte, error) {
 	buf = appendManString(buf, e.Pattern)
 	buf = binary.LittleEndian.AppendUint64(buf, e.CalHash)
 	buf = binary.LittleEndian.AppendUint64(buf, e.GridSig)
-	buf = append(buf, byte(e.Kind))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Cells))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Simulated))
 	buf = binary.LittleEndian.AppendUint64(buf, e.Checksum)
@@ -173,10 +153,6 @@ func (e *Entry) UnmarshalBinary(data []byte) error {
 	pattern := r.str()
 	calHash := r.u64()
 	gridSig := r.u64()
-	kind := Kind(r.u8())
-	if r.err == nil && kind > KindCurve {
-		return fmt.Errorf("store manifest entry: unknown kind %d", kind)
-	}
 	cells := int64(r.u64())
 	simulated := int64(r.u64())
 	checksum := r.u64()
@@ -194,7 +170,6 @@ func (e *Entry) UnmarshalBinary(data []byte) error {
 	e.Pattern = pattern
 	e.CalHash = calHash
 	e.GridSig = gridSig
-	e.Kind = kind
 	e.Cells = cells
 	e.Simulated = simulated
 	e.Checksum = checksum
@@ -224,14 +199,6 @@ func (r *manReader) take(n int) []byte {
 	b := r.data[r.off : r.off+n]
 	r.off += n
 	return b
-}
-
-func (r *manReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
 }
 
 func (r *manReader) u16() uint16 {

@@ -8,10 +8,10 @@ import (
 func sampleManifest() *Manifest {
 	return &Manifest{Entries: []Entry{
 		{File: "a.surf", Machine: "Cray T3D", Pattern: "load@0",
-			CalHash: 0x1111, GridSig: 0x2222, Kind: KindSurface,
+			CalHash: 0x1111, GridSig: 0x2222,
 			Cells: 231, Simulated: 108, Checksum: 0x3333},
-		{File: "b.curv", Machine: "DEC 8400", Pattern: "copy-sl@0",
-			CalHash: 0x4444, GridSig: 0x5555, Kind: KindCurve,
+		{File: "b.surf", Machine: "DEC 8400", Pattern: "copy-sl@0",
+			CalHash: 0x4444, GridSig: 0x5555,
 			Cells: 31, Simulated: 31, Checksum: 0x6666},
 	}}
 }
@@ -78,7 +78,7 @@ func TestManifestRejectsCorruption(t *testing.T) {
 }
 
 func TestEntryRejectsInvalid(t *testing.T) {
-	bad := Entry{File: "x", Cells: 10, Simulated: 11, Kind: KindSurface}
+	bad := Entry{File: "x", Cells: 10, Simulated: 11}
 	data, err := bad.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -86,15 +86,6 @@ func TestEntryRejectsInvalid(t *testing.T) {
 	var e Entry
 	if err := e.UnmarshalBinary(data); err == nil {
 		t.Error("decode accepted simulated > cells")
-	}
-
-	unknownKind := Entry{File: "x", Kind: Kind(7)}
-	data, err = unknownKind.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.UnmarshalBinary(data); err == nil {
-		t.Error("decode accepted an unknown kind")
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,8 +30,19 @@ func testSurface(cal machine.Calibration) *surface.Surface {
 	return s
 }
 
+// testCurve builds a synthetic fixed-working-set copy curve: a
+// one-row all-simulated surface under cal.
+func testCurve(cal machine.Calibration) *surface.Surface {
+	c := surface.New(cal.Machine, "test copy", []int{1, 2, 4}, []units.Bytes{8 * units.MB})
+	c.CalHash = cal.Hash()
+	for si, bw := range []units.BytesPerSec{3e8, 2e8, 1e8} {
+		c.Set(0, si, bw)
+	}
+	return c
+}
+
 func testKey(cal machine.Calibration) Key {
-	return SurfaceKey(cal, PatternLoad, machine.Fetch, 0, 0, testStrides, testWSS)
+	return SurfaceKey(cal, PatternLoad, "", 0, 0, testStrides, testWSS)
 }
 
 func openTest(t *testing.T, dir string) *Store {
@@ -102,29 +114,52 @@ func TestGetReturnsCopies(t *testing.T) {
 func TestCurveRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cal := machine.NewT3E(1).Calibration()
-	c := &surface.Curve{Machine: cal.Machine, Title: "test copy",
-		CalHash: cal.Hash(),
-		Strides: []int{1, 2, 4},
-		BW:      []units.BytesPerSec{3e8, 2e8, 1e8}}
-	k := CurveKey(cal, PatternCopy, "sl", 0, 0, c.Strides, 8*units.MB)
+	c := testCurve(cal)
+	k := SurfaceKey(cal, PatternCopy, "sl", 0, 0, c.Strides, c.WorkingSets)
+	if k.Pattern != "copy-sl@0" {
+		t.Errorf("curve pattern = %q, want copy-sl@0", k.Pattern)
+	}
 	want, _ := c.MarshalBinary()
 
 	st := openTest(t, dir)
-	if err := st.PutCurve(k, c); err != nil {
-		t.Fatalf("PutCurve: %v", err)
+	if err := st.PutSurface(k, c); err != nil {
+		t.Fatalf("PutSurface: %v", err)
 	}
 	st2 := openTest(t, dir)
-	got, ok := st2.GetCurve(k)
+	got, ok := st2.GetSurface(k)
 	if !ok {
-		t.Fatal("GetCurve missed after reopen")
+		t.Fatal("GetSurface missed a curve after reopen")
 	}
 	gb, _ := got.MarshalBinary()
 	if !bytes.Equal(gb, want) {
 		t.Error("curve round trip is not byte-identical")
 	}
-	// A surface request under a curve key must miss, not crash.
-	if _, ok := st2.GetSurface(k); ok {
-		t.Error("GetSurface served a curve entry")
+	e := st2.Entries()[0]
+	if e.Cells != 3 || !e.Complete() || !strings.HasSuffix(e.File, ".surf") {
+		t.Errorf("curve manifest entry = %+v, want 3 complete cells in a .surf file", e)
+	}
+}
+
+// TestSurfaceKeyPatterns pins the pattern strings of every artifact
+// family: Lookup filters grids by prefix ("load@", "transfer-fetch@"),
+// so a fixed-working-set curve's pattern must never start with one.
+func TestSurfaceKeyPatterns(t *testing.T) {
+	cal := machine.NewT3E(1).Calibration()
+	ws := []units.Bytes{8 * units.MB}
+	for _, tc := range []struct {
+		p       Pattern
+		variant string
+		want    string
+	}{
+		{PatternLoad, "", "load@0"},
+		{PatternLoad, "pt", "load-pt@0"},
+		{PatternTransfer, "fetch", "transfer-fetch@0-1"},
+		{PatternCopy, "sl", "copy-sl@0"},
+		{PatternRemoteCopy, "fetch-sl-p", "remotecopy-fetch-sl-p@0-1"},
+	} {
+		if got := SurfaceKey(cal, tc.p, tc.variant, 0, 1, []int{1}, ws).Pattern; got != tc.want {
+			t.Errorf("SurfaceKey(%s, %q) pattern = %q, want %q", tc.p, tc.variant, got, tc.want)
+		}
 	}
 }
 
@@ -171,7 +206,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	ka := Key{Machine: "m", Pattern: "a"}
 	kb := Key{Machine: "m", Pattern: "b"}
 	kc := Key{Machine: "m", Pattern: "c"}
-	v := &cachedSurface{}
+	v := &surface.Surface{}
 	l.put(ka, v)
 	l.put(kb, v)
 	// Touch a so b becomes the eviction victim.
@@ -201,12 +236,13 @@ func TestStoreEvictionCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &surface.Curve{Machine: cal.Machine, Title: "t", CalHash: cal.Hash(),
-		Strides: []int{1}, BW: []units.BytesPerSec{1e8}}
-	if err := st.PutCurve(CurveKey(cal, PatternCopy, "a", 0, 0, c.Strides, units.MB), c); err != nil {
+	c := testCurve(cal)
+	ka := SurfaceKey(cal, PatternCopy, "a", 0, 0, c.Strides, c.WorkingSets)
+	kb := SurfaceKey(cal, PatternCopy, "b", 0, 0, c.Strides, c.WorkingSets)
+	if err := st.PutSurface(ka, c); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutCurve(CurveKey(cal, PatternCopy, "b", 0, 0, c.Strides, units.MB), c); err != nil {
+	if err := st.PutSurface(kb, c); err != nil {
 		t.Fatal(err)
 	}
 	if stats := st.Stats(); stats.Evictions != 1 {
@@ -214,7 +250,7 @@ func TestStoreEvictionCounted(t *testing.T) {
 	}
 	// Both entries still serve from disk — eviction only drops the
 	// decoded copy.
-	if _, ok := st.GetCurve(CurveKey(cal, PatternCopy, "a", 0, 0, c.Strides, units.MB)); !ok {
+	if _, ok := st.GetSurface(ka); !ok {
 		t.Error("evicted entry no longer serves from disk")
 	}
 }
@@ -334,5 +370,67 @@ func TestManifestCorruptionOpensEmpty(t *testing.T) {
 	}
 	if _, err := os.Stat(manPath + ".quarantined"); err != nil {
 		t.Errorf("corrupt manifest was not renamed aside: %v", err)
+	}
+}
+
+// v1Manifest encodes entries in the retired v1 manifest layout, whose
+// entries carried an artifact kind byte (0 surface, 1 curve) between
+// the grid signature and the cell counts.
+func v1Manifest(entries []Entry) []byte {
+	str := func(b []byte, v string) []byte {
+		return append(binary.LittleEndian.AppendUint32(b, uint32(len(v))), v...)
+	}
+	buf := binary.LittleEndian.AppendUint16([]byte(manifestMagic), 1)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
+	for _, e := range entries {
+		eb := binary.LittleEndian.AppendUint16(nil, 1)
+		eb = str(str(str(eb, e.File), e.Machine), e.Pattern)
+		eb = binary.LittleEndian.AppendUint64(eb, e.CalHash)
+		eb = binary.LittleEndian.AppendUint64(eb, e.GridSig)
+		eb = append(eb, 0)
+		eb = binary.LittleEndian.AppendUint64(eb, uint64(e.Cells))
+		eb = binary.LittleEndian.AppendUint64(eb, uint64(e.Simulated))
+		eb = binary.LittleEndian.AppendUint64(eb, e.Checksum)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(eb)))
+		buf = append(buf, eb...)
+	}
+	return buf
+}
+
+// TestOldManifestVersionOpensEmpty: a store written before the
+// manifest dropped its kind byte opens empty — the store is a cache,
+// so its old entries are misses to re-simulate, never a panic and
+// never a misread index.
+func TestOldManifestVersionOpensEmpty(t *testing.T) {
+	dir := t.TempDir()
+	cal := machine.NewT3D(1).Calibration()
+	st := openTest(t, dir)
+	if err := st.PutSurface(testKey(cal), testSurface(cal)); err != nil {
+		t.Fatal(err)
+	}
+	manPath := filepath.Join(dir, manifestName)
+	if err := os.WriteFile(manPath, v1Manifest(st.Entries()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openTest(t, dir)
+	if st2.Len() != 0 {
+		t.Errorf("store opened with %d entries from a v1 manifest", st2.Len())
+	}
+	if _, ok := st2.GetSurface(testKey(cal)); ok {
+		t.Error("an entry of the v1 manifest was served")
+	}
+	if stats := st2.Stats(); stats.Quarantined != 1 || stats.Misses != 1 {
+		t.Errorf("v1 manifest accounting: %+v, want one quarantine and one miss", stats)
+	}
+	if _, err := os.Stat(manPath + ".quarantined"); err != nil {
+		t.Errorf("v1 manifest was not renamed aside: %v", err)
+	}
+	// The store stays usable: a fresh write indexes and serves again.
+	if err := st2.PutSurface(testKey(cal), testSurface(cal)); err != nil {
+		t.Fatalf("Put after opening over a v1 manifest: %v", err)
+	}
+	if _, ok := openTest(t, dir).GetSurface(testKey(cal)); !ok {
+		t.Error("re-written entry does not serve after reopen")
 	}
 }

@@ -19,24 +19,25 @@ import (
 //	magic            4 bytes  "SURF"
 //	version          uint16   snapshotVersion
 //	calibration hash uint64   CalHash — the machine calibration the
-//	                          grid was computed from (v1 wrote zero)
+//	                          grid was computed from
 //	Machine          uint32 length + bytes
 //	Title            uint32 length + bytes
 //	Strides          uint32 count + int64 each
 //	WorkingSets      uint32 count + int64 each
 //	BW               float64 bits, row-major, len(WorkingSets) rows
 //	                 of len(Strides) columns (dimensions implied)
-//	Source           v2 only: one byte per cell, row-major, same
-//	                 dimensions as BW (0 simulated, 1 analytic)
+//	Source           one byte per cell, row-major, same dimensions
+//	                 as BW (0 simulated, 1 analytic)
 //
-// Version history: v1 (PR 6) had no Source plane and always wrote a
-// zero calibration hash. v1 snapshots still decode: their cells come
-// back tagged Simulated with CalHash zero.
+// Every sweep artifact is a Surface: a fixed-working-set stride sweep
+// (Figures 9-14, the headline points) is one working-set row, so this
+// is the only artifact codec. Version history: v1 had no Source plane
+// and wrote a zero calibration hash. It no longer decodes — the
+// surface store is a cache, so a v1 file is a quarantined miss.
 
 const (
-	snapshotMagic      = "SURF"
-	snapshotVersion    = 2
-	snapshotVersionPre = 1
+	snapshotMagic   = "SURF"
+	snapshotVersion = 2
 )
 
 // maxSnapshotElems bounds decoded axis lengths so a corrupt length
@@ -110,7 +111,7 @@ func (s *Surface) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("surface snapshot: bad magic")
 	}
 	v := r.u16()
-	if r.err == nil && v != snapshotVersion && v != snapshotVersionPre {
+	if r.err == nil && v != snapshotVersion {
 		return fmt.Errorf("surface snapshot: unsupported version %d (want %d)", v, snapshotVersion)
 	}
 	calHash := r.u64()
@@ -131,13 +132,9 @@ func (s *Surface) UnmarshalBinary(data []byte) error {
 			bw[i][j] = units.BytesPerSec(math.Float64frombits(r.u64()))
 		}
 	}
-	// v1 snapshots carry no Source plane: cells decode as Simulated.
 	src := make([][]Source, len(wss))
 	for i := range src {
 		src[i] = make([]Source, len(strides))
-		if v < 2 {
-			continue
-		}
 		for j := range src[i] {
 			tag := Source(r.u8())
 			if r.err == nil && tag > Analytic {
@@ -159,81 +156,6 @@ func (s *Surface) UnmarshalBinary(data []byte) error {
 	s.BW = bw
 	s.Source = src
 	s.CalHash = calHash
-	return nil
-}
-
-// Curve wire format: the same byte-stable discipline as the surface
-// snapshot, for the fixed-working-set stride sweeps (Figures 9-14).
-//
-//	magic            4 bytes  "CURV"
-//	version          uint16   curveSnapshotVersion
-//	calibration hash uint64   CalHash
-//	Machine          uint32 length + bytes
-//	Title            uint32 length + bytes
-//	Strides          uint32 count + int64 each
-//	BW               float64 bits, one per stride (count implied)
-const (
-	curveMagic           = "CURV"
-	curveSnapshotVersion = 1
-)
-
-// MarshalBinary encodes the curve in the versioned snapshot layout.
-func (c *Curve) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 32+len(c.Machine)+len(c.Title)+16*len(c.Strides))
-	if len(c.BW) != len(c.Strides) {
-		return nil, fmt.Errorf("curve snapshot: %d BW values for %d strides",
-			len(c.BW), len(c.Strides))
-	}
-	buf = append(buf, curveMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, curveSnapshotVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, c.CalHash)
-	buf = appendSnapString(buf, c.Machine)
-	buf = appendSnapString(buf, c.Title)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Strides)))
-	for _, st := range c.Strides {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(st)))
-	}
-	for _, bw := range c.BW {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(bw)))
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary decodes a snapshot produced by Curve.MarshalBinary,
-// replacing the receiver's contents. Like the surface decoder it
-// validates fully before assigning, so an error leaves the receiver
-// unchanged.
-func (c *Curve) UnmarshalBinary(data []byte) error {
-	r := snapReader{data: data}
-	if string(r.take(4)) != curveMagic {
-		return fmt.Errorf("curve snapshot: bad magic")
-	}
-	v := r.u16()
-	if r.err == nil && v != curveSnapshotVersion {
-		return fmt.Errorf("curve snapshot: unsupported version %d (want %d)", v, curveSnapshotVersion)
-	}
-	calHash := r.u64()
-	machine := r.str()
-	title := r.str()
-	strides := make([]int, r.count())
-	for i := range strides {
-		strides[i] = int(int64(r.u64()))
-	}
-	bw := make([]units.BytesPerSec, len(strides))
-	for i := range bw {
-		bw[i] = units.BytesPerSec(math.Float64frombits(r.u64()))
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(data) {
-		return fmt.Errorf("curve snapshot: %d trailing bytes", len(data)-r.off)
-	}
-	c.Machine = machine
-	c.Title = title
-	c.Strides = strides
-	c.BW = bw
-	c.CalHash = calHash
 	return nil
 }
 

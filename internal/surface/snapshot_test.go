@@ -2,9 +2,11 @@ package surface
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/units"
@@ -112,51 +114,31 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1Upgrade decodes the committed v1 fixture (written by
-// PR 6, before the Source plane and the populated calibration hash):
-// the cells must come back tagged Simulated with a zero CalHash, and
-// re-encoding must produce a valid v2 snapshot with the same grid.
-func TestSnapshotV1Upgrade(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "surface_v1.bin"))
+// v1Snapshot renders s in the retired v1 layout: version 1, a zero
+// calibration hash, and no Source plane.
+func v1Snapshot(t *testing.T, s *Surface) []byte {
+	t.Helper()
+	b, err := s.MarshalBinary()
 	if err != nil {
-		t.Fatalf("reading the v1 fixture: %v", err)
+		t.Fatal(err)
 	}
-	var s Surface
-	if err := s.UnmarshalBinary(data); err != nil {
-		t.Fatalf("decoding the v1 fixture: %v", err)
+	b = b[:len(b)-len(s.WorkingSets)*len(s.Strides)]
+	binary.LittleEndian.PutUint16(b[4:], 1)
+	binary.LittleEndian.PutUint64(b[6:], 0)
+	return b
+}
+
+// TestSnapshotV1Rejected: the v1 upgrade path is gone — the store is
+// a cache, so a v1 snapshot is an error (and a quarantined miss
+// there), never a panic and never a half-decoded surface.
+func TestSnapshotV1Rejected(t *testing.T) {
+	var got Surface
+	err := got.UnmarshalBinary(v1Snapshot(t, testSurface()))
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 snapshot decoded with err = %v, want an unsupported-version error", err)
 	}
-	if s.Machine != "t3e" || s.Title != "local load" {
-		t.Fatalf("v1 fixture decoded to %q / %q", s.Machine, s.Title)
-	}
-	if s.CalHash != 0 {
-		t.Fatalf("v1 snapshot decoded with CalHash 0x%x, want 0", s.CalHash)
-	}
-	for wi := range s.WorkingSets {
-		for si := range s.Strides {
-			if s.SourceAt(wi, si) != Simulated {
-				t.Fatalf("v1 cell (%d,%d) decoded as %v, want simulated", wi, si, s.SourceAt(wi, si))
-			}
-			want := float64(100+10*wi+si) + 0.25
-			if float64(s.BW[wi][si]) != want {
-				t.Fatalf("v1 cell (%d,%d) = %v, want %v", wi, si, s.BW[wi][si], want)
-			}
-		}
-	}
-	// Upgrade: re-encoding writes the current version, and the round
-	// trip preserves the grid.
-	up, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatalf("re-encoding the upgraded snapshot: %v", err)
-	}
-	if up[4] != snapshotVersion {
-		t.Fatalf("upgraded snapshot has version %d, want %d", up[4], snapshotVersion)
-	}
-	var s2 Surface
-	if err := s2.UnmarshalBinary(up); err != nil {
-		t.Fatalf("decoding the upgraded snapshot: %v", err)
-	}
-	if !reflect.DeepEqual(s, s2) {
-		t.Fatalf("v1 -> v2 upgrade round trip mismatch:\nv1 %+v\nv2 %+v", s, s2)
+	if got.Machine != "" || got.BW != nil {
+		t.Fatalf("rejected v1 decode mutated the receiver: %+v", got)
 	}
 }
 
@@ -213,21 +195,19 @@ func TestSnapshotCorrupt(t *testing.T) {
 }
 
 func TestCurveSnapshotRoundTrip(t *testing.T) {
-	// Every Curve field must survive the codec — a dropped field write
-	// silently zeroes it in all persisted sweeps (the dropfieldwrite
-	// mutation class).
-	c := &Curve{
-		Machine: "t3e",
-		Title:   "remote fetch bandwidth",
-		CalHash: 0xfeedface12345678,
-		Strides: []int{1, 2, 4, 8, 128},
-		BW:      []units.BytesPerSec{480e6, 330e6, 190e6, 88e6, 21e6},
+	// A fixed-working-set curve is a one-row surface; every field must
+	// survive the codec — a dropped field write silently zeroes it in
+	// all persisted sweeps (the dropfieldwrite mutation class).
+	c := New("t3e", "remote fetch bandwidth", []int{1, 2, 4, 8, 128}, []units.Bytes{8 * units.MB})
+	c.CalHash = 0xfeedface12345678
+	for si, bw := range []units.BytesPerSec{480e6, 330e6, 190e6, 88e6, 21e6} {
+		c.Set(0, si, bw)
 	}
 	b, err := c.MarshalBinary()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var got Curve
+	var got Surface
 	if err := got.UnmarshalBinary(b); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}

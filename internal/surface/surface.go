@@ -32,9 +32,11 @@ func WorkingSets(lo, hi units.Bytes) []units.Bytes {
 }
 
 // Surface is a bandwidth grid over (working set, stride). It is the
-// simulator's first persistent artifact: snapshot.go gives it a
+// simulator's one persistent artifact: snapshot.go gives it a
 // versioned binary codec (the memserve surface store's wire format),
-// and the snapshotsafe analyzer holds the codec to the struct.
+// and the snapshotsafe analyzer holds the codec to the struct. A
+// fixed-working-set stride curve (Figures 9-14) is a Surface with a
+// single working-set row; At then ignores the working set.
 //
 //simlint:snapshot
 type Surface struct {
@@ -42,7 +44,7 @@ type Surface struct {
 	Title   string
 	// CalHash identifies the machine calibration the grid was
 	// computed from (machine Calibration().Hash()); zero when
-	// unknown (pre-v2 snapshots, hand-assembled grids).
+	// unknown (hand-assembled grids).
 	CalHash     uint64
 	Strides     []int
 	WorkingSets []units.Bytes
@@ -100,8 +102,8 @@ func (s *Surface) SetSource(wsIdx, strideIdx int, src Source) {
 	s.Source[wsIdx][strideIdx] = src
 }
 
-// SourceAt returns a cell's provenance; surfaces without tags (pre-v2
-// snapshots) are entirely simulated.
+// SourceAt returns a cell's provenance; surfaces without tags
+// (assembled by hand rather than New) are entirely simulated.
 func (s *Surface) SourceAt(wsIdx, strideIdx int) Source {
 	if len(s.Source) == 0 {
 		return Simulated
@@ -257,40 +259,17 @@ func (s *Surface) ASCII() string {
 	return b.String()
 }
 
-// Curve is a single bandwidth-vs-stride series (Figures 9-14). Like
-// Surface it is a persistent artifact: snapshot.go gives it a
-// versioned byte-stable codec so the surface store can serve the
-// fixed-working-set copy and transfer sweeps from disk.
-//
-//simlint:snapshot
-type Curve struct {
-	Machine string
-	Title   string
-	// CalHash identifies the machine calibration the curve was
-	// measured from; zero when unknown (hand-assembled curves).
-	CalHash uint64
-	Strides []int
-	BW      []units.BytesPerSec
-}
-
-// At returns the bandwidth at the given stride (log-interpolated).
-func (c *Curve) At(stride int) units.BytesPerSec {
-	if len(c.Strides) == 0 {
-		return 0
-	}
-	i, f := locate(float64(stride), strideAxis(c.Strides))
-	b0 := float64(c.BW[i])
-	b1 := float64(c.BW[min(i+1, len(c.BW)-1)])
-	return units.BytesPerSec(b0*(1-f) + b1*f)
-}
-
-// Table renders the curve as aligned text.
-func (c *Curve) Table() string {
+// Table renders a fixed-working-set curve — a one-row surface
+// (Figures 9-14) — as aligned stride/bandwidth text. A grid prints its
+// rows one after another; CSV and ASCII are its renderings.
+func (s *Surface) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", c.Machine, c.Title)
+	fmt.Fprintf(&b, "%s — %s\n", s.Machine, s.Title)
 	b.WriteString("stride   MByte/s\n")
-	for i, st := range c.Strides {
-		fmt.Fprintf(&b, "%6d   %7.1f\n", st, c.BW[i].MBps())
+	for _, row := range s.BW {
+		for si, st := range s.Strides {
+			fmt.Fprintf(&b, "%6d   %7.1f\n", st, row[si].MBps())
+		}
 	}
 	return b.String()
 }

@@ -1,6 +1,8 @@
 package surface
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -71,18 +73,65 @@ func TestCSVAndASCII(t *testing.T) {
 	}
 }
 
+// curve builds a one-row surface — a fixed-working-set stride sweep.
+func curve(ws units.Bytes, strides []int, bw []units.BytesPerSec) *Surface {
+	c := New("m", "t", strides, []units.Bytes{ws})
+	copy(c.BW[0], bw)
+	return c
+}
+
 func TestCurveAtAndTable(t *testing.T) {
-	c := &Curve{Machine: "m", Title: "t", Strides: []int{1, 8, 64},
-		BW: []units.BytesPerSec{units.MBps(100), units.MBps(50), units.MBps(20)}}
-	if got := c.At(8).MBps(); got != 50 {
-		t.Errorf("At(8) = %v", got)
+	c := curve(8*units.MB, []int{1, 8, 64}, []units.BytesPerSec{units.MBps(100), units.MBps(50), units.MBps(20)})
+	// The working set of a one-row surface does not matter.
+	for _, ws := range []units.Bytes{units.KB, 8 * units.MB, units.GB} {
+		if got := c.At(ws, 8).MBps(); got != 50 {
+			t.Errorf("At(%v, 8) = %v", ws, got)
+		}
 	}
-	between := c.At(3).MBps()
+	between := c.At(8*units.MB, 3).MBps()
 	if between <= 50 || between >= 100 {
 		t.Errorf("interpolated curve value %v outside (50,100)", between)
 	}
-	if !strings.Contains(c.Table(), "stride") {
-		t.Errorf("Table malformed")
+	want := "m — t\nstride   MByte/s\n     1     100.0\n     8      50.0\n    64      20.0\n"
+	if got := c.Table(); got != want {
+		t.Errorf("Table =\n%s\nwant\n%s", got, want)
+	}
+}
+
+// curveAt is the retired fixed-working-set curve's interpolation,
+// kept verbatim as the reference a one-row surface must reproduce.
+func curveAt(strides []int, bw []units.BytesPerSec, stride int) units.BytesPerSec {
+	if len(strides) == 0 {
+		return 0
+	}
+	i, f := locate(float64(stride), strideAxis(strides))
+	b0 := float64(bw[i])
+	b1 := float64(bw[min(i+1, len(bw)-1)])
+	return units.BytesPerSec(b0*(1-f) + b1*f)
+}
+
+// TestOneRowAtMatchesCurveAt: folding the curve type into a one-row
+// surface must not move a single bit of any planner or figure value.
+func TestOneRowAtMatchesCurveAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 500; n++ {
+		strides := []int{1 + rng.Intn(3)}
+		for len(strides) < 1+rng.Intn(20) {
+			strides = append(strides, strides[len(strides)-1]+1+rng.Intn(40))
+		}
+		bw := make([]units.BytesPerSec, len(strides))
+		for i := range bw {
+			bw[i] = units.BytesPerSec(rng.Float64() * 1e9)
+		}
+		c := curve(units.Bytes(1+rng.Intn(1<<27)), strides, bw)
+		for k := 0; k < 100; k++ {
+			stride := rng.Intn(strides[len(strides)-1] + 10)
+			ws := units.Bytes(rng.Intn(1 << 28))
+			got, want := c.At(ws, stride), curveAt(strides, bw, stride)
+			if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+				t.Fatalf("curve %d: At(%v, %d) = %v, curve reference %v", n, ws, stride, got, want)
+			}
+		}
 	}
 }
 

@@ -11,10 +11,7 @@
 #                           attribution coverage, snapshot safety,
 #                           lock domination, shared capture, atomic
 #                           artifact writes), run through the
-#                           incremental cache, judged against
-#                           lint.baseline.json (only NEW findings
-#                           fail), with a SARIF log left in
-#                           out/simlint.sarif
+#                           incremental cache; any finding fails
 #   5. simlint -fix -dry-run ./... — pending autofixes are a hard
 #                           failure: apply them (make lint-fix) or
 #                           justify with a directive
@@ -58,8 +55,7 @@ echo "== go vet =="
 go vet ./...
 
 echo "== simlint =="
-mkdir -p out
-go run ./cmd/simlint -sarif out/simlint.sarif -baseline lint.baseline.json ./...
+go run ./cmd/simlint ./...
 
 echo "== simlint -fix -dry-run =="
 go run ./cmd/simlint -fix -dry-run ./...
