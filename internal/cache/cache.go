@@ -7,10 +7,25 @@
 // and report victim write-backs. Timing (fill occupancy, drain rates)
 // is charged by the node model in internal/node, which owns the
 // sim.Resource pipelines.
+//
+// The tag store is one flat line array, set s holding ways
+// [s*assoc, (s+1)*assoc). Set and line counts are powers of two, so a
+// probe indexes with a shift and a mask. Validity is a generation
+// stamp: a line is valid only while its gen equals the cache's, so
+// InvalidateAll (the cold reset before every sweep point) advances
+// the generation and touches no line, except for one real clear when
+// the 32-bit counter wraps. Invariant: a stale-generation line is
+// never read — every probe compares gen before the tag, and victim
+// selection takes the first stale way before it compares any lastUse.
+// Two running counts, of the current generation's live lines and of
+// its dirty lines, keep the invalidation counter exact without a
+// scan and let Dirty answer a cache that holds no dirty line without
+// probing.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/access"
@@ -107,20 +122,33 @@ func (s Stats) HitRate() float64 {
 }
 
 type line struct {
-	tag   int64
-	valid bool
-	dirty bool
+	tag int64
 	// lastUse orders lines within a set for LRU replacement.
 	lastUse int64
+	// gen is the cache generation the line was filled in. The line
+	// is valid only while gen equals the cache's current generation;
+	// every other field of a stale line is garbage and never read.
+	gen   uint32
+	dirty bool
 }
 
 // Cache is one level of a memory hierarchy.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
-	numSets  int64
-	lineMask int64
-	tick     int64
+	cfg Config
+	// lines is the flat tag store: set s occupies
+	// lines[s*assoc : (s+1)*assoc].
+	lines     []line
+	assoc     int64
+	lineShift uint  // log2(LineSize): line address to line number
+	setMask   int64 // number of sets - 1
+	lineMask  int64
+	tick      int64
+	// gen is the current generation (never 0, so zeroed lines are
+	// invalid). InvalidateAll advances it instead of walking lines.
+	gen uint32
+	// live counts the lines valid in the current generation, and
+	// dirty those of them that are dirty.
+	live, dirty int64
 
 	ps probe.Scope
 	// counter handles into the probe registry
@@ -134,24 +162,25 @@ type Cache struct {
 // that are not a power-of-two number of sets, which none of the
 // modelled machines use.
 func New(cfg Config) *Cache {
-	assoc := cfg.assoc()
-	lines := int64(cfg.Size / cfg.LineSize)
-	numSets := lines / int64(assoc)
+	assoc := int64(cfg.assoc())
+	numSets := int64(cfg.Size/cfg.LineSize) / assoc
 	if numSets == 0 {
 		numSets = 1
 	}
 	if cfg.LineSize&(cfg.LineSize-1) != 0 {
 		panic(fmt.Sprintf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineSize))
 	}
-	c := &Cache{
-		cfg:      cfg,
-		numSets:  numSets,
-		lineMask: int64(cfg.LineSize) - 1,
-		sets:     make([][]line, numSets),
+	if numSets&(numSets-1) != 0 {
+		panic(fmt.Sprintf("cache %s: %d sets not a power of two", cfg.Name, numSets))
 	}
-	backing := make([]line, numSets*int64(assoc))
-	for i := range c.sets {
-		c.sets[i], backing = backing[:assoc:assoc], backing[assoc:]
+	c := &Cache{
+		cfg:       cfg,
+		lines:     make([]line, numSets*assoc),
+		assoc:     assoc,
+		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
+		setMask:   numSets - 1,
+		lineMask:  int64(cfg.LineSize) - 1,
+		gen:       1,
 	}
 	c.ps = cfg.Probe
 	if !c.ps.Valid() {
@@ -193,11 +222,23 @@ func (c *Cache) LineAddr(a access.Addr) access.Addr {
 	return a &^ access.Addr(c.lineMask)
 }
 
-func (c *Cache) setIndex(lineA access.Addr) int64 {
-	idx := int64(lineA) / int64(c.cfg.LineSize)
-	// numSets may not be a power of two (e.g. 96 KB 3-way L2 of the
-	// 21164 has 1024 sets, which is); use modulo to stay general.
-	return idx % c.numSets
+// set returns the ways of the set that line address lineA maps to.
+// New guarantees a power-of-two line size and set count, so the line
+// number is a shift and the set index a mask.
+func (c *Cache) set(lineA access.Addr) []line {
+	base := (int64(lineA) >> c.lineShift & c.setMask) * c.assoc
+	return c.lines[base : base+c.assoc : base+c.assoc]
+}
+
+// find returns the index within set of the valid line tagged tag, or
+// -1 when the line is not resident.
+func (c *Cache) find(set []line, tag int64) int {
+	for i := range set {
+		if set[i].gen == c.gen && set[i].tag == tag {
+			return i
+		}
+	}
+	return -1
 }
 
 // Result reports the outcome of an Access.
@@ -221,24 +262,22 @@ type Result struct {
 func (c *Cache) Access(a access.Addr, isWrite bool) Result {
 	c.tick++
 	lineA := c.LineAddr(a)
-	set := c.sets[c.setIndex(lineA)]
+	set := c.set(lineA)
 	tag := int64(lineA)
 
 	// Probe.
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lastUse = c.tick
-			if isWrite {
-				c.writeHits.Inc()
-				if c.cfg.Write == WriteBack {
-					set[i].dirty = true
-					return Result{Hit: true}
-				}
-				return Result{Hit: true, WriteThrough: true}
+	if i := c.find(set, tag); i >= 0 {
+		set[i].lastUse = c.tick
+		if isWrite {
+			c.writeHits.Inc()
+			if c.cfg.Write == WriteBack {
+				c.markDirty(&set[i])
+				return Result{Hit: true}
 			}
-			c.readHits.Inc()
-			return Result{Hit: true}
+			return Result{Hit: true, WriteThrough: true}
 		}
+		c.readHits.Inc()
+		return Result{Hit: true}
 	}
 
 	// Miss.
@@ -252,10 +291,11 @@ func (c *Cache) Access(a access.Addr, isWrite bool) Result {
 		c.readMisses.Inc()
 	}
 
-	// Allocate: choose invalid or LRU victim.
+	// Allocate: choose invalid or LRU victim. Only valid lines'
+	// lastUse values are ever compared.
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].gen != c.gen {
 			victim = i
 			break
 		}
@@ -264,15 +304,18 @@ func (c *Cache) Access(a access.Addr, isWrite bool) Result {
 		}
 	}
 	res := Result{Filled: true}
-	if set[victim].valid && set[victim].dirty {
+	if set[victim].gen != c.gen {
+		c.live++
+	} else if set[victim].dirty {
 		res.WriteBack = access.Addr(set[victim].tag)
 		res.HasWriteBack = true
 		c.writeBacks.Inc()
+		c.dirty--
 	}
-	set[victim] = line{tag: tag, valid: true, lastUse: c.tick}
+	set[victim] = line{tag: tag, lastUse: c.tick, gen: c.gen}
 	if isWrite {
 		if c.cfg.Write == WriteBack {
-			set[victim].dirty = true
+			c.markDirty(&set[victim])
 		} else {
 			res.WriteThrough = true
 		}
@@ -280,29 +323,39 @@ func (c *Cache) Access(a access.Addr, isWrite bool) Result {
 	return res
 }
 
-// Contains reports whether the line holding a is present (no state
-// update; used by coherence probes).
-func (c *Cache) Contains(a access.Addr) bool {
-	lineA := c.LineAddr(a)
-	set := c.sets[c.setIndex(lineA)]
-	for i := range set {
-		if set[i].valid && set[i].tag == int64(lineA) {
-			return true
-		}
+// markDirty sets a valid line's dirty bit, keeping the dirty count.
+func (c *Cache) markDirty(l *line) {
+	if !l.dirty {
+		l.dirty = true
+		c.dirty++
 	}
-	return false
 }
 
-// Dirty reports whether the line holding a is present and dirty.
-func (c *Cache) Dirty(a access.Addr) bool {
+// lookup returns the valid line holding a, or nil when it is not
+// resident.
+func (c *Cache) lookup(a access.Addr) *line {
 	lineA := c.LineAddr(a)
-	set := c.sets[c.setIndex(lineA)]
-	for i := range set {
-		if set[i].valid && set[i].tag == int64(lineA) {
-			return set[i].dirty
-		}
+	set := c.set(lineA)
+	if i := c.find(set, int64(lineA)); i >= 0 {
+		return &set[i]
 	}
-	return false
+	return nil
+}
+
+// Contains reports whether the line holding a is present (no state
+// update; used by coherence probes).
+func (c *Cache) Contains(a access.Addr) bool { return c.lookup(a) != nil }
+
+// Dirty reports whether the line holding a is present and dirty. A
+// cache holding no dirty line answers without probing (and the check
+// inlines into the caller), which makes the 8400's snoop for a dirty
+// supplier cheap against clean peers.
+func (c *Cache) Dirty(a access.Addr) bool {
+	if c.dirty == 0 {
+		return false
+	}
+	l := c.lookup(a)
+	return l != nil && l.dirty
 }
 
 // Invalidate drops the line containing a, returning whether it was
@@ -311,34 +364,39 @@ func (c *Cache) Dirty(a access.Addr) bool {
 // memory" by the remote-deposit circuitry (§3.2); the 8400's snooping
 // protocol invalidates on remote writes.
 func (c *Cache) Invalidate(a access.Addr) (present, dirty bool) {
-	lineA := c.LineAddr(a)
-	set := c.sets[c.setIndex(lineA)]
-	for i := range set {
-		if set[i].valid && set[i].tag == int64(lineA) {
-			dirty = set[i].dirty
-			set[i] = line{}
-			c.invalidations.Inc()
-			return true, dirty
-		}
+	l := c.lookup(a)
+	if l == nil {
+		return false, false
 	}
-	return false, false
+	dirty = l.dirty
+	if dirty {
+		c.dirty--
+	}
+	*l = line{}
+	c.live--
+	c.invalidations.Inc()
+	return true, dirty
 }
 
 // InvalidateAll flushes every line ("invalidated entirely when the
 // program reaches a synchronization point", §3.2). Dirty lines are
 // discarded; the modelled T3D L1 is write-through so no data is lost.
+//
+// The flush costs O(1): advancing the generation makes every line
+// stale at once, and the live count keeps the invalidation counter
+// exact. Only when the generation counter wraps to 0 are the lines
+// really cleared, so that no line from 2^32 flushes ago comes back.
 func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid {
-				c.invalidations.Inc()
-			}
-			c.sets[s][i] = line{}
-		}
+	c.invalidations.Add(c.live)
+	c.live, c.dirty = 0, 0
+	c.gen++
+	if c.gen == 0 {
+		clear(c.lines)
+		c.gen = 1
 	}
-	// Every line's lastUse is now zero, so the LRU clock may restart
-	// from zero too; leaving it warm would let tick values leak from
-	// one sweep point into the next.
+	// The LRU clock restarts from zero with the lines; leaving it
+	// warm would let tick values leak from one sweep point into the
+	// next.
 	c.tick = 0
 }
 
@@ -350,26 +408,18 @@ func (c *Cache) ResetStats() { c.ps.Reset() }
 // whether it was found (a victim from the level above landed in this
 // level and must eventually be written back further down).
 func (c *Cache) SetDirty(a access.Addr) bool {
-	lineA := c.LineAddr(a)
-	set := c.sets[c.setIndex(lineA)]
-	for i := range set {
-		if set[i].valid && set[i].tag == int64(lineA) {
-			set[i].dirty = true
-			return true
-		}
+	l := c.lookup(a)
+	if l != nil {
+		c.markDirty(l)
 	}
-	return false
+	return l != nil
 }
 
 // Clean marks the line containing a clean if present (after a
 // coherence write-back supplied the data to another processor).
 func (c *Cache) Clean(a access.Addr) {
-	lineA := c.LineAddr(a)
-	set := c.sets[c.setIndex(lineA)]
-	for i := range set {
-		if set[i].valid && set[i].tag == int64(lineA) {
-			set[i].dirty = false
-			return
-		}
+	if l := c.lookup(a); l != nil && l.dirty {
+		l.dirty = false
+		c.dirty--
 	}
 }

@@ -243,3 +243,16 @@ func TestConfigString(t *testing.T) {
 		t.Fatal("Config.String should describe the cache")
 	}
 }
+
+func TestNewRejectsNonPowerOfTwoSets(t *testing.T) {
+	// 96 KB of 32-byte lines is 3072 lines: 1024 sets at 3 ways (the
+	// 21164 L2) but 1536 at 2 ways, which shift-and-mask indexing
+	// cannot address.
+	New(Config{Name: "L2", Size: 96 * units.KB, LineSize: 32, Assoc: 3})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a 1536-set cache")
+		}
+	}()
+	New(Config{Name: "L2", Size: 96 * units.KB, LineSize: 32, Assoc: 2})
+}

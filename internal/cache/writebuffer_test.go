@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/access"
@@ -119,11 +120,39 @@ func TestWriteBufferReset(t *testing.T) {
 	w := counted(&WriteBuffer{Entries: 2, EntryBytes: 32})
 	tg := target(&res, 10)
 	w.Push(0, 0, tg)
+	w.Push(64, 0, tg) // one drain in flight, one entry open
 	w.Reset()
 	if w.Drained.Get() != 0 || w.DrainedBytes.Get() != 0 {
 		t.Fatalf("reset should clear counters")
 	}
+	// Two cold starts must be bit-identical, so the open window is
+	// zeroed even though openValid alone guards it.
+	if w.openValid || w.openBase != 0 || w.openEnd != 0 || len(w.inflight) != 0 {
+		t.Fatalf("reset left buffered state: %+v", *w)
+	}
 	if done := w.Flush(5, tg); done != 5 {
 		t.Fatalf("reset buffer should flush instantly: %v", done)
+	}
+}
+
+func TestWriteBufferFullStallsUntilEarliestDrain(t *testing.T) {
+	// One slot and 80 ns per one-word entry: the second entry to
+	// close finds the slot busy until the first drain ends at 80, so
+	// a store issued at 10 stalls 70 and the second drain starts at 80.
+	var res sim.Resource
+	var starts []units.Time
+	drain := target(&res, 10)
+	tg := func(a access.Addr, n units.Bytes, now units.Time) units.Time {
+		starts = append(starts, now)
+		return drain(a, n, now)
+	}
+	w := &WriteBuffer{Entries: 1, EntryBytes: 32}
+	w.Push(0, 0, tg)  // opens entry A
+	w.Push(64, 0, tg) // closes A (drains 0..80), opens B
+	if stall := w.Push(128, 10, tg); stall != 70 {
+		t.Fatalf("store into a full buffer stalled %v, want 70", stall)
+	}
+	if want := []units.Time{0, 80}; !reflect.DeepEqual(starts, want) {
+		t.Fatalf("drains started at %v, want %v", starts, want)
 	}
 }

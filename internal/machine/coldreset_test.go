@@ -88,3 +88,19 @@ func TestColdResetClearsProbeState(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkColdReset times the reset the sweep engine runs before
+// every grid point, on each modelled machine at the four-node size
+// the figures use, after one small load point has warmed its caches.
+func BenchmarkColdReset(b *testing.B) {
+	for _, m := range []Machine{NewDEC8400(4), NewT3D(4), NewT3E(4)} {
+		b.Run(m.Name(), func(b *testing.B) {
+			loadPoint(m, 8*units.KB, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ColdReset()
+			}
+		})
+	}
+}

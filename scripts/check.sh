@@ -16,8 +16,9 @@
 #                           failure: apply them (make lint-fix) or
 #                           justify with a directive
 #   6. simmut smoke       — a budget of 25 mutants over the unit and
-#                           surface codecs plus 25 over the serving
-#                           layer; any survivor is a hard failure
+#                           surface codecs, 25 over the serving layer
+#                           and 25 over the cache tag store and write
+#                           buffer; any survivor is a hard failure
 #                           (the full sweep is `make mutate`)
 #   7. go test -race ./...— the full suite under the race detector
 #   8. memtrace smoke     — one traced point end to end
@@ -63,6 +64,7 @@ go run ./cmd/simlint -fix -dry-run ./...
 echo "== simmut smoke (budget 25) =="
 go run ./cmd/simmut -budget 25 ./internal/units ./internal/surface
 go run ./cmd/simmut -budget 25 ./internal/serve
+go run ./cmd/simmut -budget 25 ./internal/cache
 
 echo "== go test -race =="
 go test -race ./...
